@@ -15,7 +15,7 @@ race:
 # corpora (the CI smoke configuration; raise FUZZTIME for a longer hunt).
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzSATSolve$$' -fuzztime $(FUZZTIME) ./internal/sat
+	$(GO) test -run '^$$' -fuzz '^FuzzSATSolve$$' -fuzztime $(FUZZTIME) ./internal/pbsolver
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalForm$$' -fuzztime $(FUZZTIME) ./internal/autom
 	$(GO) test -run '^$$' -fuzz '^FuzzSBPVariant$$' -fuzztime $(FUZZTIME) ./internal/sbp
 

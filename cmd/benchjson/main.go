@@ -1,5 +1,6 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a JSON snapshot on stdout, keyed by benchmark name. It exists so the
+// into a JSON snapshot on stdout, keyed by benchmark name without the
+// -GOMAXPROCS suffix (recorded separately as gomaxprocs). It exists so the
 // repository can commit machine-readable perf baselines (BENCH_baseline.json,
 // written by `make bench-baseline`) and future PRs can diff ns/op and
 // allocs/op against them.
@@ -39,12 +40,15 @@ type Result struct {
 }
 
 // Snapshot is the full file: environment header lines plus all results.
+// Gomaxprocs is the -N suffix go test appended to every benchmark name (1
+// when it appended none); result names are stored without it.
 type Snapshot struct {
-	Goos    string   `json:"goos,omitempty"`
-	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
+	Goos       string   `json:"goos,omitempty"`
+	Goarch     string   `json:"goarch,omitempty"`
+	Pkg        string   `json:"pkg,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	Gomaxprocs int      `json:"gomaxprocs,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 func main() {
@@ -99,7 +103,33 @@ func parse(sc *bufio.Scanner) (*Snapshot, error) {
 	if len(snap.Results) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
+	stripProcs(snap)
 	return snap, nil
+}
+
+// stripProcs removes the -GOMAXPROCS suffix go test appends to every
+// benchmark name when GOMAXPROCS > 1, so keys pair across machines, and
+// records the count. Only a suffix that every line shares is the
+// runtime's: a sub-benchmark named "parallel-4" keeps its digits on a
+// one-proc run, where go test appends nothing.
+func stripProcs(snap *Snapshot) {
+	snap.Gomaxprocs = 1
+	suffix := ""
+	for i, r := range snap.Results {
+		j := strings.LastIndex(r.Name, "-")
+		if j <= 0 || (i > 0 && r.Name[j:] != suffix) {
+			return
+		}
+		suffix = r.Name[j:]
+	}
+	n, err := strconv.Atoi(suffix[1:])
+	if err != nil || n < 1 {
+		return
+	}
+	snap.Gomaxprocs = n
+	for i := range snap.Results {
+		snap.Results[i].Name = strings.TrimSuffix(snap.Results[i].Name, suffix)
+	}
 }
 
 // parseBenchLine parses "BenchmarkName-8  10  123 ns/op  45 B/op  6 allocs/op
@@ -110,12 +140,6 @@ func parseBenchLine(line string) (Result, bool) {
 		return Result{}, false
 	}
 	name := fields[0]
-	// Strip the -GOMAXPROCS suffix so names are machine-independent keys.
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Result{}, false
@@ -188,6 +212,7 @@ func compare(basePath, curPath string) error {
 	}
 	sort.Strings(names)
 
+	fmt.Printf("gomaxprocs: base %d, current %d\n", base.Gomaxprocs, cur.Gomaxprocs)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "BENCHMARK\tBASE ns/op\tCUR ns/op\tΔ ns/op\tBASE allocs\tCUR allocs\tEXTRA")
 	for _, name := range names {

@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -74,5 +75,26 @@ func TestDimacsRoundTrip(t *testing.T) {
 		if f.Satisfies(a) != back.Satisfies(a) {
 			t.Fatalf("mask %b: satisfaction differs", mask)
 		}
+	}
+}
+
+// TestParserFuzzNoPanic: random byte soup must produce errors, never
+// panics.
+func TestParserFuzzNoPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	alphabet := []byte("pc nf-0123456789 \n\tx")
+	for iter := 0; iter < 500; iter++ {
+		b := make([]byte, rng.Intn(120))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic on input %q: %v", b, r)
+				}
+			}()
+			_, _ = ParseDimacs(strings.NewReader(string(b)))
+		}()
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/pb"
 	"repro/internal/pbsolver"
-	"repro/internal/sat"
 	"repro/internal/sbp"
 	"repro/internal/solverutil"
 	"repro/internal/symgraph"
@@ -477,24 +476,22 @@ func DetectSymmetries(g *graph.Graph, K int, kind encode.SBPKind, maxNodes int64
 	}, enc.F.Stats()
 }
 
-// SequentialChromatic determines the chromatic number with repeated calls
-// to the pure CNF-SAT solver on the K-coloring decision variant, the
-// alternative the paper contrasts with direct 0-1 ILP optimization (§2.3).
-// It performs a downward linear search from the DSATUR upper bound (the
-// paper's per-instance bound procedure). Returns (χ, proven) — proven is
-// false on budget exhaustion (ctx cancelled or deadline passed).
+// SequentialChromatic determines the chromatic number with repeated
+// one-shot decision calls on the pure CNF K-coloring formula, the
+// black-box SAT route the paper contrasts with direct 0-1 ILP optimization
+// (§2.3). Each K gets a fresh CDCL engine without phase saving, so no
+// learning carries between probes. It performs a downward linear search
+// from the DSATUR upper bound (the paper's per-instance bound procedure).
+// Returns (χ, proven) — proven is false on budget exhaustion (ctx
+// cancelled or deadline passed).
 func SequentialChromatic(ctx context.Context, g *graph.Graph, startUB int) (int, bool) {
-	k := startUB
 	best := startUB
-	for k >= 1 {
-		f := DecisionCNF(g, k)
-		opts := sat.Options{Context: ctx}
-		s := sat.New(f, opts)
-		switch s.Solve() {
-		case sat.Sat:
+	opts := pbsolver.Options{NoPhaseSaving: true}
+	for k := startUB; k >= 1; k-- {
+		switch pbsolver.Decide(ctx, pb.FromCNF(DecisionCNF(g, k)), opts).Status {
+		case pbsolver.StatusOptimal: // decision mode: satisfiable
 			best = k
-			k--
-		case sat.Unsat:
+		case pbsolver.StatusUnsat:
 			return best, true
 		default:
 			return best, false
@@ -504,11 +501,12 @@ func SequentialChromatic(ctx context.Context, g *graph.Graph, startUB int) (int,
 }
 
 // SequentialChromaticIncremental determines the chromatic number with a
-// single incremental SAT solver: the K-coloring CNF is extended with color
-// usage variables u[j], and each probe "is the graph j-colorable?" is a
-// SolveAssuming call with assumptions ¬u[j], ..., ¬u[K−1]. Learnt clauses
-// carry over between probes, the advantage a black-box one-shot SAT solver
-// cannot offer (ablation against SequentialChromatic and PB optimization).
+// single incremental CDCL session: the K-coloring CNF is extended with
+// color usage variables u[j], and each probe "is the graph j-colorable?"
+// is a DecideAssuming call with assumptions ¬u[j], ..., ¬u[K−1]. Learnt
+// clauses carry over between probes, the advantage a black-box one-shot
+// SAT solver cannot offer (ablation against SequentialChromatic and PB
+// optimization).
 func SequentialChromaticIncremental(ctx context.Context, g *graph.Graph, startUB int) (int, bool) {
 	K := startUB
 	n := g.N()
@@ -521,17 +519,17 @@ func SequentialChromaticIncremental(ctx context.Context, g *graph.Graph, startUB
 			f.AddImplication(x(i, j), u(j))
 		}
 	}
-	s := sat.New(f, sat.Options{Context: ctx, PhaseSaving: true})
+	s := pbsolver.NewSession(ctx, pb.FromCNF(f), pbsolver.Options{})
 	best := K
 	for k := K; k >= 1; k-- {
 		assumps := make([]cnf.Lit, 0, K-k+1)
 		for j := k; j < K; j++ {
 			assumps = append(assumps, u(j).Neg())
 		}
-		switch s.SolveAssuming(assumps) {
-		case sat.Sat:
+		switch s.DecideAssuming(assumps) {
+		case pbsolver.StatusSat:
 			best = k
-		case sat.Unsat:
+		case pbsolver.StatusUnsat:
 			return best, true
 		default:
 			return best, false
@@ -542,7 +540,7 @@ func SequentialChromaticIncremental(ctx context.Context, g *graph.Graph, startUB
 
 // DecisionCNF encodes the K-colorability decision problem as pure CNF
 // (at-least-one + conflict clauses + pairwise at-most-one), the reduction
-// used with black-box SAT solvers.
+// used with black-box SAT solvers; pb.FromCNF hands it to the PB engines.
 func DecisionCNF(g *graph.Graph, K int) *cnf.Formula {
 	n := g.N()
 	f := cnf.NewFormula(n * K)

@@ -123,6 +123,8 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		{"no graph source", "POST", "/v1/jobs", `{"k":5}`, 400, CodeInvalidSpec},
 		{"spec out of bounds", "POST", "/v1/jobs", pathJobJSON("neg", 3, `,"priority":-1`), 400, CodeInvalidSpec},
 		{"graph too large", "POST", "/v1/jobs", bigGraph, 413, CodeGraphTooLarge},
+		// Within the n/m limits, but (20+1)·2^20 formula slots > MaxFormulaSlots.
+		{"formula too large", "POST", "/v1/jobs", `{"n":20,"edges":[[0,1]],"k":1048576}`, 413, CodeGraphTooLarge},
 		{"job status 404", "GET", "/v1/jobs/job-999", "", 404, CodeJobNotFound},
 		{"job result 404", "GET", "/v1/jobs/job-999/result", "", 404, CodeJobNotFound},
 		{"job events 404", "GET", "/v1/jobs/job-999/events", "", 404, CodeJobNotFound},

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -56,6 +57,13 @@ type Config struct {
 	MaxVertices int
 	MaxEdges    int
 }
+
+// MaxFormulaSlots caps (n+m)·K for a submission, K being the color bound
+// the solve will use (core.EffectiveK). The encoding allocates n·K
+// indicator variables and m·K conflict clauses, so this bounds the memory
+// one accepted job can claim; the largest Table-1 instance needs 212,580
+// at K=30.
+const MaxFormulaSlots = 1 << 24
 
 type api struct {
 	cfg Config
@@ -441,6 +449,14 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		apiError(w, r, http.StatusBadRequest, ErrorDetail{
 			Code: CodeInvalidSpec, Message: err.Error(),
+		})
+		return
+	}
+	if k := core.EffectiveK(g, spec.K); int64(g.N()+g.M())*int64(k) > MaxFormulaSlots {
+		apiError(w, r, http.StatusRequestEntityTooLarge, ErrorDetail{
+			Code: CodeGraphTooLarge,
+			Message: fmt.Sprintf("(n+m)·K = (%d+%d)·%d exceeds this daemon's formula limit %d",
+				g.N(), g.M(), k, MaxFormulaSlots),
 		})
 		return
 	}

@@ -17,7 +17,8 @@ const (
 	// unknown fields, or has field values out of bounds (400).
 	CodeInvalidSpec = "invalid_spec"
 	// CodeGraphTooLarge: the submitted graph exceeds the daemon's
-	// -max.vertices / -max.edges limits (413).
+	// -max.vertices / -max.edges limits, or its formula would exceed
+	// MaxFormulaSlots (413).
 	CodeGraphTooLarge = "graph_too_large"
 	// CodeQueueFull: the admission queue is at capacity; retry after
 	// retry_after_ms (429).

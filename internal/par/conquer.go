@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pb"
 	"repro/internal/pbsolver"
-	"repro/internal/sat"
 	"repro/internal/solverutil"
 )
 
@@ -29,8 +28,10 @@ import (
 // StatusUnsat, by the covering property of the cube tree) or the budget
 // expires (StatusSat with the best incumbent, or StatusUnknown).
 //
-// With an empty objective this degenerates to a parallel decision solve:
-// SAT the moment any cube is satisfiable, UNSAT when all cubes are closed.
+// With an empty objective this degenerates to a parallel decision solve —
+// the mode pure CNF formulas run in (see pb.FromCNF): SAT (reported as
+// StatusOptimal) the moment any cube is satisfiable, UNSAT when all cubes
+// are closed.
 func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 	start := time.Now()
 	workers := opts.workers()
@@ -235,136 +236,6 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 	return res
 }
 
-// SolveCNF decides a pure CNF formula with parallel cube-and-conquer over
-// internal/sat workers (the K-coloring decision variant). It returns the
-// first satisfying model found in any cube (cancelling the laggards),
-// Unsat when every cube is conquered, or Unknown on budget exhaustion.
-// Engine-agnostic fields of opts.Solver (knobs, MaxConflicts per worker,
-// Timeout, Progress) carry over; the Engine field is ignored.
-func SolveCNF(ctx context.Context, f *cnf.Formula, opts Options) (sat.Status, cnf.Assignment, Stats) {
-	workers := opts.workers()
-	stats := Stats{Workers: workers}
-	if ctx.Err() != nil {
-		return sat.Unknown, nil, stats
-	}
-	base := opts.Solver
-	var pctx context.Context
-	var cancel context.CancelFunc
-	if base.Timeout > 0 {
-		pctx, cancel = context.WithTimeout(ctx, base.Timeout)
-	} else {
-		pctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-
-	cs := CubesCNF(f, CubeOptions{Depth: opts.cubeDepth(), Seed: opts.Seed})
-	stats.CubesGenerated = int64(len(cs.Cubes))
-	stats.CubesRefuted = cs.Refuted
-	if cs.RootUnsat {
-		return sat.Unsat, nil, stats
-	}
-
-	var exch *Exchange
-	if opts.sharing() && workers > 1 {
-		exch = NewExchange(opts.ExchangeCapacity)
-	}
-	var (
-		mu     sync.Mutex
-		model  cnf.Assignment
-		closed atomic.Int64
-	)
-	merge := newMerger(base.Progress, base.ProgressInterval, workers, &stats, exch, &closed)
-	merge.cubesTotal = int64(len(cs.Cubes))
-	merge.best = func() int { return -1 }
-
-	cubeCh := make(chan []cnf.Lit)
-	go func() {
-		defer close(cubeCh)
-		for _, c := range cs.Cubes {
-			select {
-			case cubeCh <- c:
-			case <-pctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			_, wspan := obs.StartSpan(pctx, "solve.worker", obs.Int("worker", int64(wid)))
-			var s *sat.Solver
-			defer func() {
-				if s == nil {
-					wspan.End()
-					return
-				}
-				st := s.Stats()
-				wspan.End(
-					obs.Int("conflicts", st.Conflicts),
-					obs.Int("restarts", st.Restarts),
-				)
-			}()
-			o := sat.Options{
-				Context:          pctx,
-				MaxConflicts:     base.MaxConflicts,
-				PhaseSaving:      true,
-				VarDecay:         base.VarDecayOverride,
-				RestartBase:      base.RestartBaseOverride,
-				GlueLBD:          base.GlueLBD,
-				ReduceInterval:   base.ReduceInterval,
-				ChronoThreshold:  base.ChronoThreshold,
-				VivifyBudget:     base.VivifyBudget,
-				DynamicLBD:       base.DynamicLBD,
-				Progress:         merge.satHook(wid),
-				ProgressInterval: base.ProgressInterval,
-			}
-			if exch != nil {
-				o.Export = exch.Exporter(wid)
-				o.ExportLBD = opts.shareLBD()
-				o.Import = exch.Importer(wid)
-			}
-			s = sat.New(f, o)
-			for cube := range cubeCh {
-				switch s.SolveAssuming(cube) {
-				case sat.Sat:
-					mu.Lock()
-					if model == nil {
-						model = s.Model()
-					}
-					mu.Unlock()
-					cancel() // first finisher wins
-					return
-				case sat.Unsat:
-					closed.Add(1)
-				default:
-					return // budget exhausted or cancelled
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if exch != nil {
-		stats.ClausesExported = exch.Exported()
-		stats.ClausesImported = exch.Imported()
-	}
-	stats.CubesClosed = closed.Load()
-	mu.Lock()
-	defer mu.Unlock()
-	switch {
-	case model != nil:
-		return sat.Sat, model, stats
-	case closed.Load() == int64(len(cs.Cubes)):
-		// Every cube conquered (cancellation mid-feed leaves the count
-		// short, so a truncated run can never claim UNSAT).
-		return sat.Unsat, nil, stats
-	}
-	return sat.Unknown, nil, stats
-}
-
 // merger fans per-worker progress snapshots into one merged stream:
 // counters are summed over every worker's latest snapshot, the cube and
 // sharing gauges are attached, and emission is rate-limited once for the
@@ -400,10 +271,6 @@ func (m *merger) hook(wid int) solverutil.ProgressFunc {
 	}
 	return func(p solverutil.Progress) { m.record(wid, p) }
 }
-
-// satHook is hook for sat workers (identical; kept separate for clarity
-// at the call sites).
-func (m *merger) satHook(wid int) solverutil.ProgressFunc { return m.hook(wid) }
 
 func (m *merger) record(wid int, p solverutil.Progress) {
 	m.mu.Lock()

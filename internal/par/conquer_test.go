@@ -11,12 +11,11 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pb"
 	"repro/internal/pbsolver"
-	"repro/internal/sat"
 	"repro/internal/testutil"
 )
 
 // TestSolveCNFMatchesOracle is the exchange-soundness property test: many
-// small random CNFs solved by a sharing cube-and-conquer pool must agree
+// small random CNFs decided by a sharing cube-and-conquer pool must agree
 // with the brute-force oracle, and every SAT model must check out. The
 // high ShareLBD forces heavy clause traffic between workers.
 func TestSolveCNFMatchesOracle(t *testing.T) {
@@ -24,26 +23,26 @@ func TestSolveCNFMatchesOracle(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		f := testutil.RandomCNF(rng, 8+rng.Intn(9), 20+rng.Intn(50), 3)
 		want, _ := testutil.BruteForceSAT(f)
-		st, model, stats := SolveCNF(context.Background(), f, Options{
+		res := Optimize(context.Background(), pb.FromCNF(f), Options{
 			Workers:   4,
 			CubeDepth: 3,
 			ShareLBD:  30, // export essentially every learnt clause
 			Seed:      int64(round),
 		})
-		switch st {
-		case sat.Sat:
+		switch res.Status {
+		case pbsolver.StatusOptimal: // decision mode: satisfiable
 			if !want {
-				t.Fatalf("round %d: par found SAT, oracle says UNSAT (stats %+v)", round, stats)
+				t.Fatalf("round %d: par found SAT, oracle says UNSAT (par %+v)", round, res.Par)
 			}
-			if err := testutil.CheckModel(f, model); err != nil {
+			if err := testutil.CheckModel(f, res.Model); err != nil {
 				t.Fatalf("round %d: bad model: %v", round, err)
 			}
-		case sat.Unsat:
+		case pbsolver.StatusUnsat:
 			if want {
-				t.Fatalf("round %d: par found UNSAT, oracle says SAT (stats %+v)", round, stats)
+				t.Fatalf("round %d: par found UNSAT, oracle says SAT (par %+v)", round, res.Par)
 			}
 		default:
-			t.Fatalf("round %d: unexpected Unknown without a budget", round)
+			t.Fatalf("round %d: unexpected %v without a budget", round, res.Status)
 		}
 	}
 }
@@ -116,12 +115,8 @@ func TestOptimizeDecisionMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for round := 0; round < 30; round++ {
 		cf := testutil.RandomCNF(rng, 8+rng.Intn(6), 15+rng.Intn(40), 3)
-		f := pb.NewFormula(cf.NumVars)
-		for _, cl := range cf.Clauses {
-			f.AddClause(cl...)
-		}
 		want, _ := testutil.BruteForceSAT(cf)
-		res := Optimize(context.Background(), f, Options{Workers: 4, CubeDepth: 3, Seed: int64(round)})
+		res := Optimize(context.Background(), pb.FromCNF(cf), Options{Workers: 4, CubeDepth: 3, Seed: int64(round)})
 		if want && res.Status != pbsolver.StatusOptimal {
 			t.Fatalf("round %d: got %v, want OPTIMAL(SAT)", round, res.Status)
 		}
@@ -129,18 +124,8 @@ func TestOptimizeDecisionMode(t *testing.T) {
 			t.Fatalf("round %d: got %v, want UNSAT", round, res.Status)
 		}
 		if want {
-			m := res.Model
-			for _, cl := range cf.Clauses {
-				ok := false
-				for _, l := range cl {
-					if m.Lit(l) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("round %d: model violates %v", round, cl)
-				}
+			if err := testutil.CheckModel(cf, res.Model); err != nil {
+				t.Fatalf("round %d: %v", round, err)
 			}
 		}
 	}
@@ -199,21 +184,21 @@ func TestOptimizeSharesAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSolveCNFColoringDecision runs the CNF conquest on a real coloring
-// decision encoding in both phases (colorable and not).
+// TestSolveCNFColoringDecision runs the parallel decision mode on a real
+// pure CNF coloring encoding in both phases (colorable and not).
 func TestSolveCNFColoringDecision(t *testing.T) {
 	g := graph.Petersen() // chi = 3
 	for _, tc := range []struct {
 		k    int
-		want sat.Status
-	}{{3, sat.Sat}, {2, sat.Unsat}} {
+		want pbsolver.Status
+	}{{3, pbsolver.StatusOptimal}, {2, pbsolver.StatusUnsat}} {
 		f := decisionCNF(g, tc.k)
-		st, model, _ := SolveCNF(context.Background(), f, Options{Workers: 3, CubeDepth: 4})
-		if st != tc.want {
-			t.Fatalf("k=%d: got %v, want %v", tc.k, st, tc.want)
+		res := Optimize(context.Background(), pb.FromCNF(f), Options{Workers: 3, CubeDepth: 4})
+		if res.Status != tc.want {
+			t.Fatalf("k=%d: got %v, want %v", tc.k, res.Status, tc.want)
 		}
-		if st == sat.Sat {
-			if err := testutil.CheckModel(f, model); err != nil {
+		if res.Status == pbsolver.StatusOptimal {
+			if err := testutil.CheckModel(f, res.Model); err != nil {
 				t.Fatal(err)
 			}
 		}

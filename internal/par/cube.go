@@ -53,24 +53,12 @@ type CubeSet struct {
 // clauses and the counter-based PB slacks before the branch is kept.
 func CubesPB(f *pb.Formula, opt CubeOptions) CubeSet {
 	p := newProp(f.NumVars, f.Clauses, f.Constraints)
-	return generate(p, f.NumVars, opt)
-}
-
-// CubesCNF generates cubes for a pure CNF formula (the K-coloring decision
-// variant conquered by internal/sat workers).
-func CubesCNF(f *cnf.Formula, opt CubeOptions) CubeSet {
-	p := newProp(f.NumVars, f.Clauses, nil)
-	return generate(p, f.NumVars, opt)
-}
-
-// generate runs the lookahead DFS over the ranked variables.
-func generate(p *prop, numVars int, opt CubeOptions) CubeSet {
 	cs := CubeSet{}
 	if !p.propagateRoot() {
 		cs.RootUnsat = true
 		return cs
 	}
-	cs.Vars = rankVars(p, numVars, opt.Seed)
+	cs.Vars = rankVars(p, f.NumVars, opt.Seed)
 	maxCubes := opt.maxCubes()
 
 	emit := func(cube []cnf.Lit) {

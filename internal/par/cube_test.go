@@ -17,8 +17,8 @@ func TestCubeDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := testutil.RandomCNF(rng, 18, 60, 4)
 	for _, seed := range []int64{0, 1, 42} {
-		a := CubesCNF(f, CubeOptions{Depth: 4, Seed: seed})
-		b := CubesCNF(f, CubeOptions{Depth: 4, Seed: seed})
+		a := CubesPB(pb.FromCNF(f), CubeOptions{Depth: 4, Seed: seed})
+		b := CubesPB(pb.FromCNF(f), CubeOptions{Depth: 4, Seed: seed})
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: generation not deterministic:\n%v\nvs\n%v", seed, a, b)
 		}
@@ -35,7 +35,7 @@ func TestCubesCoverModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 30; round++ {
 		f := testutil.RandomCNF(rng, 6+rng.Intn(8), 10+rng.Intn(25), 3)
-		cs := CubesCNF(f, CubeOptions{Depth: 3, Seed: int64(round)})
+		cs := CubesPB(pb.FromCNF(f), CubeOptions{Depth: 3, Seed: int64(round)})
 		sat, _ := testutil.BruteForceSAT(f)
 		if cs.RootUnsat {
 			if sat {
@@ -79,7 +79,7 @@ func TestCubesCoverModels(t *testing.T) {
 func TestCubesDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := testutil.RandomCNF(rng, 12, 30, 3)
-	cs := CubesCNF(f, CubeOptions{Depth: 4, Seed: 5})
+	cs := CubesPB(pb.FromCNF(f), CubeOptions{Depth: 4, Seed: 5})
 	for i := range cs.Cubes {
 		for j := i + 1; j < len(cs.Cubes); j++ {
 			if !conflicting(cs.Cubes[i], cs.Cubes[j]) {
@@ -135,7 +135,7 @@ func TestCubesPBPruning(t *testing.T) {
 func TestCubesDepthZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := testutil.RandomCNF(rng, 10, 20, 3)
-	cs := CubesCNF(f, CubeOptions{Depth: 0, Seed: 0})
+	cs := CubesPB(pb.FromCNF(f), CubeOptions{Depth: 0, Seed: 0})
 	if cs.RootUnsat {
 		t.Skip("random formula happened to be root-unsat")
 	}

@@ -1,11 +1,12 @@
 // Package par is the parallel cube-and-conquer subsystem: it splits the
 // symmetry-reduced search space of an encoded instance into cubes with a
 // lookahead-based generator (cube.go), conquers the cubes on a bounded
-// pool of the existing CDCL engines — internal/pbsolver sessions for 0-1
-// ILP optimization, internal/sat solvers for the CNF decision variant —
-// each seeded with its cube as assumptions (conquer.go), and lets the
-// workers exchange glue-grade learnt clauses through a lock-light ring
-// buffer (exchange.go), in the style of Glucose-syrup portfolio solvers.
+// pool of incremental internal/pbsolver sessions, each seeded with its
+// cube as assumptions (conquer.go), and lets the workers exchange
+// glue-grade learnt clauses through a lock-light ring buffer
+// (exchange.go), in the style of Glucose-syrup portfolio solvers. A
+// formula without an objective, such as a pure CNF decision instance, is
+// conquered as a decision problem.
 //
 // Soundness rests on three invariants:
 //

@@ -220,6 +220,13 @@ type Formula struct {
 // NewFormula returns an empty formula with n variables.
 func NewFormula(n int) *Formula { return &Formula{NumVars: n} }
 
+// FromCNF wraps a pure CNF formula as a 0-1 ILP instance with no PB
+// constraints and no objective, the form in which the PB engines decide
+// plain satisfiability. The clauses are shared with f, not copied.
+func FromCNF(f *cnf.Formula) *Formula {
+	return &Formula{NumVars: f.NumVars, Clauses: append([]cnf.Clause(nil), f.Clauses...)}
+}
+
 // NewVar allocates a fresh variable.
 func (f *Formula) NewVar() int {
 	f.NumVars++

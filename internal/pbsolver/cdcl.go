@@ -15,11 +15,12 @@ import (
 // EngineGalena configuration additionally learns cardinality reductions of
 // conflicting PB constraints (CARD learning, Chai & Kuehlmann 2003).
 //
-// The clause database shares internal/solverutil's flat-arena layout with
-// internal/sat: clauses are int32 offsets into one []uint32 store, watch
-// lists carry {clause, blocker} structs, binary clauses are propagated
-// inline from dedicated binary watch lists, and learnt-clause deletion is
-// LBD-driven with periodic arena compaction.
+// It is the repository's single CDCL core: pure CNF runs through it too, as
+// a formula with no PB constraints and no objective (see pb.FromCNF). The
+// clause database uses internal/solverutil's flat-arena layout: clauses are int32 offsets into
+// one []uint32 store, watch lists carry {clause, blocker} structs, binary
+// clauses are propagated inline from dedicated binary watch lists, and
+// learnt-clause deletion is LBD-driven with periodic arena compaction.
 type cdclEngine struct {
 	opts Options
 
@@ -893,11 +894,15 @@ func (e *cdclEngine) solveDecisionAssuming(budget *budget, assumptions []cnf.Lit
 			e.exportLearnt(learnt, lbd)
 			// Chronological backtracking: when the backjump would undo
 			// more than ChronoThreshold levels, retreat one level instead
-			// and assert the learnt clause there (all its other literals
-			// sit at levels ≤ the computed backjump level and stay false).
-			// Simple variant — the literal is recorded at the retreat
-			// level, not its true assertion level; see internal/sat for
-			// the tradeoff.
+			// and assert the learnt clause there. The clause stays
+			// asserting (all literals but learnt[0] sit at levels ≤ the
+			// computed backjump level, hence still false), and the rest
+			// of the trail — often unrelated to the conflict — is kept.
+			// This is the simple variant: the literal is recorded at the
+			// retreat level rather than its true assertion level, so a
+			// later backtrack below the retreat level drops the
+			// implication until the watches rediscover it (sound; Nadel &
+			// Ryvchin's out-of-order trail would keep it).
 			if t := e.opts.ChronoThreshold; t > 0 && btLevel > 0 && e.decisionLevel()-btLevel > t {
 				btLevel = e.decisionLevel() - 1
 				e.stats.ChronoBacktracks++

@@ -1,9 +1,11 @@
-package sat
+package pbsolver
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/pb"
 	"repro/internal/testutil"
 )
 
@@ -25,7 +27,7 @@ func cnfFromFuzz(data []byte) (*cnf.Formula, Options, bool) {
 		opts.VivifyBudget = 200
 	}
 	if knobs&16 != 0 {
-		opts.RestartBase = 1
+		opts.RestartBaseOverride = 1
 	}
 	f := cnf.NewFormula(nVars)
 	var clause []cnf.Lit
@@ -54,9 +56,9 @@ func cnfFromFuzz(data []byte) (*cnf.Formula, Options, bool) {
 	return f, opts, true
 }
 
-// FuzzSATSolve feeds random CNF formulas through the CDCL engine under
-// fuzz-chosen knob combinations and cross-checks the answer (and any
-// model) against the brute-force reference oracle.
+// FuzzSATSolve feeds random CNF formulas through the CDCL engine's
+// decision mode under fuzz-chosen knob combinations and cross-checks the
+// answer (and any model) against the brute-force reference oracle.
 func FuzzSATSolve(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 3, 0, 2, 4, 0, 5, 6})
 	f.Add([]byte{5, 13, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0, 2, 9})
@@ -68,17 +70,16 @@ func FuzzSATSolve(f *testing.F) {
 			return
 		}
 		want, _ := testutil.BruteForceSAT(formula)
-		s := New(formula, opts)
-		got := s.Solve()
-		if got == Unknown {
-			t.Fatalf("Unknown without a budget (opts %+v)", opts)
+		res := Decide(context.Background(), pb.FromCNF(formula), opts)
+		if res.Status != StatusOptimal && res.Status != StatusUnsat {
+			t.Fatalf("%v without a budget (opts %+v)", res.Status, opts)
 		}
-		if (got == Sat) != want {
+		if (res.Status == StatusOptimal) != want {
 			t.Fatalf("engine says %v, reference says sat=%t (opts %+v, formula %d vars %d clauses)",
-				got, want, opts, formula.NumVars, formula.NumClauses())
+				res.Status, want, opts, formula.NumVars, formula.NumClauses())
 		}
-		if got == Sat {
-			if err := testutil.CheckModel(formula, s.Model()); err != nil {
+		if want {
+			if err := testutil.CheckModel(formula, res.Model); err != nil {
 				t.Fatalf("invalid model: %v (opts %+v)", err, opts)
 			}
 		}

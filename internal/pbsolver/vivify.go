@@ -5,13 +5,21 @@ import (
 )
 
 // vivify runs one budgeted vivification pass over the long problem and
-// learnt clauses, exactly as internal/sat's pass (see that file for the
-// soundness argument): at decision level 0 each clause is detached and its
-// literals' negations are assumed one at a time; literals implied false
-// under the prefix are dropped, and a conflict or an implied-true literal
-// truncates the clause to its prefix. Propagation here runs the full mixed
-// closure — clauses, binary watch lists, and PB constraints — so PB-implied
-// redundancies are removed too. Returns false when the formula was proven
+// learnt clauses (Piette, Hamadi & Saïs 2008; the "clause distillation" of
+// Lintao Zhang's lineage). Must be called at decision level 0. For each
+// clause (l1 ∨ … ∨ ln) the clause is detached and the negated literals are
+// assumed one at a time and propagated:
+//
+//   - a later literal becomes true  → the clause shrinks to prefix ∨ lit
+//     (F ∧ ¬prefix ⊨ lit, so the shorter clause is implied by F alone);
+//   - a later literal becomes false → that literal is redundant and is
+//     dropped (any model violating the shrunk clause would violate F);
+//   - propagation conflicts         → the prefix itself is implied.
+//
+// Propagation runs the full mixed closure — clauses, binary watch lists,
+// and PB constraints — so PB-implied redundancies are removed too. The pass
+// spends at most budget propagations, resuming at the stored cursors on
+// the next restart. Returns false when the formula was proven
 // unsatisfiable at level 0.
 func (e *cdclEngine) vivify(budget int64) bool {
 	// The restart may fire in the same iteration that enqueued a level-0
@@ -60,9 +68,15 @@ func (e *cdclEngine) vivify(budget int64) bool {
 	return true
 }
 
-// vivifyClause probes one clause; see internal/sat.(*Solver).vivifyClause.
+// vivifyClause probes one clause as described on vivify. It returns the
+// clause's replacement reference (the clause itself when unchanged,
+// CRefUndef when the clause was removed or re-tiered to binary/unit) and
+// reports false when the probe proved the formula unsatisfiable at the
+// root.
 func (e *cdclEngine) vivifyClause(c solverutil.CRef, learnt bool) (solverutil.CRef, bool) {
 	origSize := e.db.Arena.Size(c)
+	// Detach before probing: the clause must not participate in its own
+	// strengthening (self-subsumption through propagation is circular).
 	e.db.Detach(c)
 	out := e.vivBuf[:0]
 	satisfiedAtRoot := false

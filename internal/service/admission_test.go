@@ -187,6 +187,24 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterWaitWithinQuota: once Wait returns, the finished job no
+// longer counts against its tenant's in-flight quota, so a client that
+// submits, waits and submits again is never refused — even at quota 1.
+func TestResubmitAfterWaitWithinQuota(t *testing.T) {
+	var runs atomic.Int64
+	svc := New(Config{Workers: 1, TenantMaxInFlight: 1, Solve: countingSolve(&runs, 0)})
+	defer svc.Close()
+	for i := 0; i < 300; i++ {
+		id, err := svc.SubmitTenant("tenant-a", distinctGraph("resubmit", 3+i%20), JobSpec{K: 5})
+		if err != nil {
+			t.Fatalf("submission %d refused after the previous job finished: %v", i, err)
+		}
+		if _, err := svc.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestTenantRateLimit: the token bucket admits a burst, then rejects with
 // the exact refill wait.
 func TestTenantRateLimit(t *testing.T) {

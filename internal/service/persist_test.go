@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"math/rand"
+	"runtime/pprof"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,10 +138,15 @@ func TestWaiterResolvePersists(t *testing.T) {
 	g := graph.Random("g", 14, 40, 21)
 	block := make(chan struct{})
 	var calls atomic.Int64
+	leader := make(chan string, 1)
 	solve := func(ctx context.Context, gg *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
 		if calls.Add(1) == 1 {
-			// Leader: hold the singleflight slot until the waiter joined,
-			// then come back empty-handed (budget-exhausted shape).
+			// Leader: whichever job finished canonical labeling first.
+			// Record it (the service labels the solve context with the job
+			// id), hold the singleflight slot until the waiter joined, then
+			// come back empty-handed (budget-exhausted shape).
+			id, _ := pprof.Label(ctx, "job")
+			leader <- id
 			<-block
 			out := core.Outcome{Instance: gg.Name()}
 			out.Result.Status = pbsolver.StatusUnknown
@@ -173,15 +179,19 @@ func TestWaiterResolvePersists(t *testing.T) {
 	}
 	close(block)
 
-	if _, err := svc.Wait(context.Background(), idA); err != nil {
+	lead, waiter := <-leader, idB
+	if lead == idB {
+		waiter = idA
+	}
+	if _, err := svc.Wait(context.Background(), lead); err != nil {
 		t.Fatal(err)
 	}
-	infoB, err := svc.Wait(context.Background(), idB)
+	infoW, err := svc.Wait(context.Background(), waiter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infoB.Result == nil || !infoB.Result.Solved {
-		t.Fatalf("waiter fallback did not solve: %+v", infoB)
+	if infoW.Result == nil || !infoW.Result.Solved {
+		t.Fatalf("waiter fallback did not solve: %+v", infoW)
 	}
 	if backend.Len() != 1 {
 		t.Fatalf("waiter's definitive result not persisted (backend len %d)", backend.Len())

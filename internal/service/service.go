@@ -67,13 +67,17 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string { return "service: solver panic: " + e.Value }
 
-// JobSpec holds the solver-relevant parameters of a submission. The spec is
-// part of the cache key: two jobs share a result only when both their
-// canonical graph forms and their specs agree. The exceptions are Timeout
-// and the search knobs (ChronoThreshold, VivifyBudget, DynamicLBD) — they
-// steer the search without ever changing a definitive answer, so excluding
-// them from the key is safe and lets differently tuned submissions share
-// results; only definitive (budget-independent) results are ever cached.
+// JobSpec holds the solver-relevant parameters of a submission. Five
+// fields are part of the cache key — K, SBP, Engine, Portfolio and
+// InstanceDependent — so two jobs share a result only when their
+// canonical graph forms and those fields agree. Every other field is left
+// out (see cacheKey): Timeout, the admission fields (Priority, Deadline),
+// SBPVariant, the search knobs (ChronoThreshold, VivifyBudget,
+// DynamicLBD, GlueLBD, ReduceInterval, RestartBase) and the parallel knobs
+// (Parallel, CubeDepth, ShareLBD). They change how fast a definitive
+// answer arrives, never which answer, so differently tuned submissions
+// share results; only definitive (budget-independent) results are ever
+// cached.
 type JobSpec struct {
 	// K is the color bound (0 = max degree + 1, as in core.Solve).
 	K int `json:"k"`
@@ -1527,6 +1531,22 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.finished = time.Now()
 	j.phase = "done"
 	j.mu.Unlock()
+
+	// Release the tenant's in-flight slot and bound the job history before
+	// waking waiters: a client that resubmits the moment Wait returns must
+	// find its slot free (forget the oldest finished jobs beyond MaxJobs;
+	// queued/running jobs are never pruned).
+	s.mu.Lock()
+	if ts, ok := s.tenants[j.tenant]; ok {
+		ts.inFlight--
+	}
+	s.finished = append(s.finished, j.id)
+	for len(s.jobs) > s.cfg.MaxJobs && len(s.finished) > 0 {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old)
+	}
+	s.mu.Unlock()
 	close(j.done)
 
 	// The job is terminal: retire its journal entry so a restart does not
@@ -1577,21 +1597,6 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		attrs = append(attrs, "cache", cache, "status", res.Status.String(), "chi", res.Chi)
 	}
 	s.logger.Info("job finished", attrs...)
-
-	// Release the tenant's in-flight slot and bound the job history:
-	// forget the oldest finished jobs beyond MaxJobs (queued/running jobs
-	// are never pruned).
-	s.mu.Lock()
-	if ts, ok := s.tenants[j.tenant]; ok {
-		ts.inFlight--
-	}
-	s.finished = append(s.finished, j.id)
-	for len(s.jobs) > s.cfg.MaxJobs && len(s.finished) > 0 {
-		old := s.finished[0]
-		s.finished = s.finished[1:]
-		delete(s.jobs, old)
-	}
-	s.mu.Unlock()
 }
 
 func (j *job) info() JobInfo {

@@ -6,8 +6,7 @@ import (
 	"repro/internal/cnf"
 )
 
-// Default solver knobs shared by both engines (zero-valued options select
-// these).
+// Default solver knobs (zero-valued options select these).
 const (
 	// DefaultGlueLBD is the LBD at or below which learnt clauses are never
 	// deleted (Audemard & Simon 2009's "glue" clauses).
@@ -17,10 +16,10 @@ const (
 	DefaultReduceInterval = 2000
 )
 
-// ClauseDB is the clause-storage layer both CDCL engines share: the arena,
-// the watcher lists for long clauses, the inline binary watch lists, and
-// the problem/learnt clause registries. It owns attachment, detachment,
-// LBD-based reduction, and arena compaction; the engines keep only the
+// ClauseDB is the CDCL engine's clause-storage layer: the arena, the
+// watcher lists for long clauses, the inline binary watch lists, and the
+// problem/learnt clause registries. It owns attachment, detachment,
+// LBD-based reduction, and arena compaction; the engine keeps only the
 // assignment-dependent parts (value, reasons, locked detection).
 type ClauseDB struct {
 	Arena      Arena

@@ -1,8 +1,9 @@
-// Package solverutil holds the data structures shared by the two CDCL
-// engines (internal/sat and internal/pbsolver): the VSIDS order heap, the
-// flat clause arena with its watcher lists, and the Luby restart sequence.
-// Keeping them here stops the engines from drifting apart and keeps the hot
-// propagation path free of per-clause pointer chasing.
+// Package solverutil holds the data structures under internal/pbsolver's
+// CDCL core and the hooks the layers above it share: the VSIDS order heap,
+// the flat clause arena with its watcher lists, LBD counting, the Luby
+// restart sequence, progress snapshots and clause-sharing types. Each
+// piece is tested on its own here, and the arena keeps the hot propagation
+// path free of per-clause pointer chasing.
 package solverutil
 
 // VarHeap is an indexed binary max-heap over variable activities, the VSIDS

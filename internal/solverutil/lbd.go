@@ -4,8 +4,7 @@ import "repro/internal/cnf"
 
 // LBDCounter counts distinct decision levels (Audemard & Simon's
 // literal-blocks distance) with a generation-stamped scratch array, so
-// repeated counts need no clearing. Both engines embed one; keeping the
-// stamp logic here stops the four former per-engine copies from drifting.
+// repeated counts need no clearing. The CDCL engine embeds one.
 type LBDCounter struct {
 	stamp []int64 // per decision level
 	gen   int64

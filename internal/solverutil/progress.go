@@ -3,7 +3,7 @@ package solverutil
 import "time"
 
 // Progress is a point-in-time snapshot of a running CDCL (or BnB) search,
-// the payload of the rate-limited progress callbacks both engines offer.
+// the payload of the rate-limited progress callbacks the engines offer.
 // The counter fields mirror the engines' Stats; the remaining fields are
 // filled in by the layers above the engine (optimization loop, portfolio).
 type Progress struct {
@@ -27,8 +27,7 @@ type Progress struct {
 	Reduces int64 `json:"reduces"`
 	Removed int64 `json:"removed"`
 	// ChronoBacktracks, VivifiedLits and LBDUpdates report the search
-	// knobs' activity (see the package comments of internal/sat and
-	// internal/pbsolver).
+	// knobs' activity (see pbsolver.Options).
 	ChronoBacktracks int64 `json:"chrono_backtracks"`
 	VivifiedLits     int64 `json:"vivified_lits"`
 	LBDUpdates       int64 `json:"lbd_updates"`

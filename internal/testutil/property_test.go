@@ -9,20 +9,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/pb"
 	"repro/internal/pbsolver"
-	"repro/internal/sat"
 	"repro/internal/testutil"
 )
 
-// satKnobMatrix is every solver configuration the properties must hold
-// under: the zero value plus each new search knob alone and all together.
-var satKnobMatrix = []sat.Options{
-	{},
-	{ChronoThreshold: 1},
-	{VivifyBudget: 300, RestartBase: 1},
-	{DynamicLBD: true},
-	{ChronoThreshold: 1, VivifyBudget: 300, DynamicLBD: true, RestartBase: 1},
-}
-
+// pbKnobMatrix is every solver configuration the properties must hold
+// under: the zero value plus each search knob alone and all together.
 var pbKnobMatrix = []pbsolver.Options{
 	{},
 	{ChronoThreshold: 1},
@@ -31,25 +22,27 @@ var pbKnobMatrix = []pbsolver.Options{
 	{ChronoThreshold: 1, VivifyBudget: 300, DynamicLBD: true, RestartBaseOverride: 1},
 }
 
-// TestSATAgainstReference: on deterministic random small CNFs, the CDCL SAT
-// engine agrees with exhaustive enumeration under every knob combination,
-// and every SAT model satisfies every clause.
+// TestSATAgainstReference: on deterministic random small CNFs, the
+// one-shot CNF decision the sequential chromatic search makes (Decide
+// without phase saving) agrees with exhaustive enumeration under every
+// knob combination, and every SAT model satisfies every clause.
 func TestSATAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 80; iter++ {
 		f := testutil.RandomCNF(rng, 5+rng.Intn(8), 15+rng.Intn(35), 3)
 		want, _ := testutil.BruteForceSAT(f)
-		for ki, opts := range satKnobMatrix {
-			s := sat.New(f, opts)
-			got := s.Solve()
-			if got == sat.Unknown {
+		pf := pb.FromCNF(f)
+		for ki, base := range pbKnobMatrix {
+			opts := base
+			opts.NoPhaseSaving = true
+			res := pbsolver.Decide(context.Background(), pf, opts)
+			switch {
+			case res.Status == pbsolver.StatusUnknown:
 				t.Fatalf("iter %d knobs %d: Unknown without a budget", iter, ki)
-			}
-			if (got == sat.Sat) != want {
-				t.Fatalf("iter %d knobs %d: engine says %v, reference says sat=%t", iter, ki, got, want)
-			}
-			if got == sat.Sat {
-				if err := testutil.CheckModel(f, s.Model()); err != nil {
+			case want != (res.Status == pbsolver.StatusOptimal):
+				t.Fatalf("iter %d knobs %d: status %v, reference says sat=%t", iter, ki, res.Status, want)
+			case want:
+				if err := testutil.CheckModel(f, res.Model); err != nil {
 					t.Fatalf("iter %d knobs %d: %v", iter, ki, err)
 				}
 			}
@@ -57,18 +50,15 @@ func TestSATAgainstReference(t *testing.T) {
 	}
 }
 
-// TestPBSolverAgainstReference: the PB engines, fed the same clause sets,
-// agree with the reference under every knob combination.
+// TestPBSolverAgainstReference: every CDCL engine, fed the same kind of
+// clause sets, agrees with the reference under every knob combination.
 func TestPBSolverAgainstReference(t *testing.T) {
 	engines := []pbsolver.Engine{pbsolver.EnginePBS, pbsolver.EngineGalena, pbsolver.EnginePueblo}
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 30; iter++ {
 		f := testutil.RandomCNF(rng, 5+rng.Intn(6), 15+rng.Intn(25), 3)
 		want, _ := testutil.BruteForceSAT(f)
-		pf := pb.NewFormula(f.NumVars)
-		for _, c := range f.Clauses {
-			pf.AddClause(c...)
-		}
+		pf := pb.FromCNF(f)
 		for ki, base := range pbKnobMatrix {
 			for _, eng := range engines {
 				opts := base

@@ -2,8 +2,8 @@
 // and fuzz targets check against: a brute-force SAT solver for small
 // formulas, model and coloring validity checkers, and deterministic random
 // instance generators. Everything here favors being obviously correct over
-// being fast — the oracles exist so the optimized engines (internal/sat,
-// internal/pbsolver) have an independent ground truth.
+// being fast — the oracles exist so the optimized engines
+// (internal/pbsolver, internal/par) have an independent ground truth.
 package testutil
 
 import (

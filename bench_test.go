@@ -304,10 +304,10 @@ func BenchmarkSolverSearchKnobs(b *testing.B) {
 		name string
 		cfg  core.Config
 	}{
-		{"chrono", core.Config{ChronoThreshold: 1}},
-		{"vivify", core.Config{VivifyBudget: 2000}},
-		{"dynlbd", core.Config{DynamicLBD: true}},
-		{"all", core.Config{ChronoThreshold: 1, VivifyBudget: 2000, DynamicLBD: true}},
+		{"chrono", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 1}}}},
+		{"vivify", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{VivifyBudget: 2000}}}},
+		{"dynlbd", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{DynamicLBD: true}}}},
+		{"all", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 1, VivifyBudget: 2000, DynamicLBD: true}}}},
 	}
 	for _, c := range cfgs {
 		b.Run(c.name, func(b *testing.B) {
@@ -379,7 +379,7 @@ func BenchmarkParallelSolve(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := core.Solve(context.Background(), g, core.Config{
 				K: 11, SBP: encode.SBPNU, Engine: pbsolver.EnginePBS,
-				Parallel: parallel, Timeout: 2 * time.Minute,
+				Knobs: core.Knobs{Parallel: parallel}, Timeout: 2 * time.Minute,
 			})
 			if out.Chi != 8 {
 				b.Fatalf("chi=%d status=%v", out.Chi, out.Result.Status)

@@ -53,20 +53,21 @@ func main() {
 	instDep := flag.Bool("instdep", false, "detect and break instance-dependent symmetries")
 	engineName := flag.String("engine", "pbs2", "solver engine: pbs2,galena,pueblo,bnb")
 	portfolio := flag.Bool("portfolio", false, "race all engines, keep the first definitive answer")
-	parallel := flag.Int("parallel", 0, "cube-and-conquer worker count (>1 enables the parallel subsystem)")
-	cubeDepth := flag.Int("cube-depth", 0, "cube branching depth (0 = auto, ~8 cubes per worker)")
-	shareLBD := flag.Int("share-lbd", 0, "learnt-clause exchange LBD threshold (0 = default 2, negative disables sharing)")
+	var knobs core.Knobs
+	flag.IntVar(&knobs.Parallel, "parallel", 0, "cube-and-conquer worker count (>1 enables the parallel subsystem)")
+	flag.IntVar(&knobs.CubeDepth, "cube-depth", 0, "cube branching depth (0 = auto, ~8 cubes per worker)")
+	flag.IntVar(&knobs.ShareLBD, "share-lbd", 0, "learnt-clause exchange LBD threshold (0 = default 2, negative disables sharing)")
 	timeout := flag.Duration("timeout", time.Minute, "solve budget per instance")
 	priority := flag.Int("priority", 0, "batch mode: admission priority class (0 = normal, higher = sooner)")
 	deadline := flag.Duration("deadline", 0, "batch mode: end-to-end budget per job including queue time (0 = none)")
 	exact := flag.Bool("exact", false, "use the problem-specific DSATUR branch-and-bound instead")
 	showColoring := flag.Bool("coloring", false, "print the witness coloring")
-	glueLBD := flag.Int("glue-lbd", 0, "LBD at or below which learnt clauses are kept forever (0 = default 2)")
-	reduceInterval := flag.Int64("reduce-interval", 0, "conflicts between learnt-database reductions (0 = default 2000)")
-	restartBase := flag.Int64("restart-base", 0, "Luby restart unit in conflicts (0 = engine default)")
-	chrono := flag.Int("chrono", 0, "chronological backtracking threshold in levels (0 = disabled)")
-	vivify := flag.Int64("vivify", 0, "clause-vivification propagation budget per restart (0 = disabled)")
-	dynamicLBD := flag.Bool("dynamic-lbd", false, "recompute learnt-clause LBDs during conflict analysis")
+	flag.IntVar(&knobs.GlueLBD, "glue-lbd", 0, "LBD at or below which learnt clauses are kept forever (0 = default 2)")
+	flag.Int64Var(&knobs.ReduceInterval, "reduce-interval", 0, "conflicts between learnt-database reductions (0 = default 2000)")
+	flag.Int64Var(&knobs.RestartBase, "restart-base", 0, "Luby restart unit in conflicts (0 = engine default)")
+	flag.IntVar(&knobs.ChronoThreshold, "chrono", 0, "chronological backtracking threshold in levels (0 = disabled)")
+	flag.Int64Var(&knobs.VivifyBudget, "vivify", 0, "clause-vivification propagation budget per restart (0 = disabled)")
+	flag.BoolVar(&knobs.DynamicLBD, "dynamic-lbd", false, "recompute learnt-clause LBDs during conflict analysis")
 	progress := flag.Bool("progress", false, "print live search progress to stderr while solving")
 	storeDir := flag.String("store.dir", "", "batch mode: persist the result cache in this directory (snapshot+WAL)")
 	storeMaxAge := flag.Duration("store.maxage", 0, "drop persisted records older than this at compaction (0 = keep forever)")
@@ -120,10 +121,7 @@ func main() {
 	spec := service.JobSpec{
 		K: *k, SBP: kind, SBPVariant: variant, Engine: eng, Portfolio: *portfolio,
 		InstanceDependent: *instDep, Timeout: *timeout,
-		Priority: *priority, Deadline: *deadline,
-		ChronoThreshold: *chrono, VivifyBudget: *vivify, DynamicLBD: *dynamicLBD,
-		GlueLBD: *glueLBD, ReduceInterval: *reduceInterval, RestartBase: *restartBase,
-		Parallel: *parallel, CubeDepth: *cubeDepth, ShareLBD: *shareLBD,
+		Priority: *priority, Deadline: *deadline, Knobs: knobs,
 	}
 
 	if *batch != "" {
@@ -161,10 +159,7 @@ func main() {
 
 	cfg := core.Config{
 		K: *k, SBP: kind, SBPVariant: variant, InstanceDependent: *instDep,
-		Engine: eng, Portfolio: *portfolio, Timeout: *timeout,
-		GlueLBD: *glueLBD, ReduceInterval: *reduceInterval, RestartBase: *restartBase,
-		ChronoThreshold: *chrono, VivifyBudget: *vivify, DynamicLBD: *dynamicLBD,
-		Parallel: *parallel, CubeDepth: *cubeDepth, ShareLBD: *shareLBD,
+		Engine: eng, Portfolio: *portfolio, Timeout: *timeout, Knobs: knobs,
 	}
 	if *progress {
 		cfg.Progress = liveProgressPrinter()

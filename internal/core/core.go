@@ -25,6 +25,26 @@ import (
 	"repro/internal/symgraph"
 )
 
+// Knobs are the nine search knobs a job may set: the engine knobs plus
+// the cube-and-conquer fan-out. None changes which answer a solve reaches,
+// so the service's result cache leaves all nine out of its key. Config,
+// service.JobSpec and the gcolord JSON body embed Knobs by value.
+type Knobs struct {
+	pbsolver.Knobs
+	// Parallel enables the cube-and-conquer subsystem (internal/par) when
+	// > 1: the encoded instance is split into cubes and conquered by this
+	// many workers sharing incumbents and glue-grade learnt clauses. 0 or
+	// 1 solves sequentially. EngineBnB has no incremental assumption
+	// core, so parallel runs conquer with EnginePBS workers.
+	Parallel int `json:"parallel,omitempty"`
+	// CubeDepth is the branching depth of the cube generator (at most
+	// 2^CubeDepth cubes; 0 = auto, about eight cubes per worker).
+	CubeDepth int `json:"cube_depth,omitempty"`
+	// ShareLBD is the learnt-clause exchange threshold between parallel
+	// workers (0 = default 2; negative disables sharing).
+	ShareLBD int `json:"share_lbd,omitempty"`
+}
+
 // Config selects one cell of the paper's experimental matrix.
 type Config struct {
 	// K is the color bound (the paper uses 20 and 30). Zero selects
@@ -59,55 +79,16 @@ type Config struct {
 	Engine pbsolver.Engine
 	// Portfolio races all engines on the instance and keeps the first
 	// definitive answer (the service layer's default solve mode). Ignored
-	// when Parallel > 1 (cube-and-conquer takes precedence).
+	// when Knobs.Parallel > 1 (cube-and-conquer takes precedence).
 	Portfolio bool
-	// Parallel enables the cube-and-conquer subsystem (internal/par) when
-	// > 1: the encoded instance is split into cubes and conquered by this
-	// many workers sharing incumbents and glue-grade learnt clauses. 0 or
-	// 1 solves sequentially. EngineBnB has no incremental assumption
-	// core, so parallel runs conquer with EnginePBS workers.
-	Parallel int
-	// CubeDepth is the branching depth of the cube generator (at most
-	// 2^CubeDepth cubes; 0 = auto, about eight cubes per worker).
-	CubeDepth int
-	// ShareLBD is the learnt-clause exchange threshold between parallel
-	// workers (0 = default 2; negative disables sharing).
-	ShareLBD int
-	// CubeSeed steers the cube generator's deterministic tie-breaking.
-	CubeSeed int64
-	// Strategy selects the optimization loop (linear by default).
-	Strategy pbsolver.Strategy
 	// Timeout bounds the solve; zero means no limit. The paper used 1000 s;
 	// the experiment harness scales this down.
 	Timeout time.Duration
-	// MaxConflicts optionally bounds total conflicts instead of (or in
-	// addition to) wall-clock time.
-	MaxConflicts int64
-	// GlueLBD is the literal-blocks-distance at or below which learnt
-	// clauses are never deleted (0 = engine default 2).
-	GlueLBD int
-	// ReduceInterval is the conflict count between learnt-database
-	// reductions (0 = engine default 2000).
-	ReduceInterval int64
-	// RestartBase overrides the Luby restart unit in conflicts (0 = engine
-	// default: 100, or 50 for Pueblo).
-	RestartBase int64
-	// ChronoThreshold enables chronological backtracking: backjumps that
-	// would undo more than this many levels retreat a single level
-	// instead (0 = disabled, always backjump).
-	ChronoThreshold int
-	// VivifyBudget enables clause vivification at restarts, spending up
-	// to this many propagations per restart shrinking long clauses whose
-	// suffix is implied (0 = disabled).
-	VivifyBudget int64
-	// DynamicLBD recomputes learnt-clause LBDs during conflict analysis,
-	// re-tiering glue clauses as the search evolves.
-	DynamicLBD bool
+	// Knobs steer the search without changing its answer.
+	Knobs
 	// SymMaxNodes and SymTimeout bound symmetry detection.
 	SymMaxNodes int64
 	SymTimeout  time.Duration
-	// SBPMaxSupport truncates each lex-leader chain (0 = full).
-	SBPMaxSupport int
 	// Progress, when non-nil, receives rate-limited snapshots of the
 	// solver's search counters while Solve runs: conflicts, restarts,
 	// learnt-clause and LBD statistics, and the best color count found so
@@ -222,18 +203,11 @@ func Solve(ctx context.Context, g *graph.Graph, cfg Config) Outcome {
 		sbpSpan.End(obs.Bool("skipped", true))
 	}
 	sOpts := pbsolver.Options{
-		Engine:              cfg.Engine,
-		Strategy:            cfg.Strategy,
-		Timeout:             cfg.Timeout,
-		MaxConflicts:        cfg.MaxConflicts,
-		GlueLBD:             cfg.GlueLBD,
-		ReduceInterval:      cfg.ReduceInterval,
-		RestartBaseOverride: cfg.RestartBase,
-		ChronoThreshold:     cfg.ChronoThreshold,
-		VivifyBudget:        cfg.VivifyBudget,
-		DynamicLBD:          cfg.DynamicLBD,
-		Progress:            cfg.Progress,
-		ProgressInterval:    cfg.ProgressInterval,
+		Engine:           cfg.Engine,
+		Timeout:          cfg.Timeout,
+		Knobs:            cfg.Knobs.Knobs,
+		Progress:         cfg.Progress,
+		ProgressInterval: cfg.ProgressInterval,
 	}
 	switch {
 	case cfg.Parallel > 1:
@@ -241,7 +215,6 @@ func Solve(ctx context.Context, g *graph.Graph, cfg Config) Outcome {
 			Workers:   cfg.Parallel,
 			CubeDepth: cfg.CubeDepth,
 			ShareLBD:  cfg.ShareLBD,
-			Seed:      cfg.CubeSeed,
 			Solver:    sOpts,
 		})
 		out.Result = pres.Result
@@ -293,7 +266,7 @@ func EffectiveK(g *graph.Graph, k int) int {
 // variant has no generator source (full/involution without
 // InstanceDependent).
 func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *SymmetryStats {
-	opts := sbp.Options{MaxSupport: cfg.SBPMaxSupport}
+	var opts sbp.Options
 	if cfg.SBPVariant == sbp.VariantCanonSet {
 		// The canonizing set is precomputed per color bound: no detection
 		// run, no group order to report (Order stays nil). Lifts broken by

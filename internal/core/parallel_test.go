@@ -52,7 +52,7 @@ func TestParallelBnBFallsBackToCDCL(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := Solve(context.Background(), g, Config{
-		K: 6, SBP: encode.SBPNU, Engine: pbsolver.EngineBnB, Parallel: 2,
+		K: 6, SBP: encode.SBPNU, Engine: pbsolver.EngineBnB, Knobs: Knobs{Parallel: 2},
 	})
 	if out.Chi != 4 {
 		t.Fatalf("chi=%d, want 4", out.Chi)
@@ -62,7 +62,7 @@ func TestParallelBnBFallsBackToCDCL(t *testing.T) {
 	}
 }
 
-// TestParallelKnobsAnswerInvariant: cube depth, seed and sharing settings
+// TestParallelKnobsAnswerInvariant: cube depth and sharing settings
 // may change the search shape, never the answer.
 func TestParallelKnobsAnswerInvariant(t *testing.T) {
 	g, err := graph.Benchmark("queen5_5")
@@ -70,10 +70,10 @@ func TestParallelKnobsAnswerInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{
-		{K: 7, SBP: encode.SBPNU, Parallel: 2, CubeDepth: 1},
-		{K: 7, SBP: encode.SBPNU, Parallel: 3, CubeDepth: 6, CubeSeed: 99},
-		{K: 7, SBP: encode.SBPNU, Parallel: 4, ShareLBD: -1},
-		{K: 7, SBP: encode.SBPNU, Parallel: 4, ShareLBD: 8},
+		{K: 7, SBP: encode.SBPNU, Knobs: Knobs{Parallel: 2, CubeDepth: 1}},
+		{K: 7, SBP: encode.SBPNU, Knobs: Knobs{Parallel: 3, CubeDepth: 6}},
+		{K: 7, SBP: encode.SBPNU, Knobs: Knobs{Parallel: 4, ShareLBD: -1}},
+		{K: 7, SBP: encode.SBPNU, Knobs: Knobs{Parallel: 4, ShareLBD: 8}},
 	} {
 		out := Solve(context.Background(), g, cfg)
 		if out.Chi != 5 {

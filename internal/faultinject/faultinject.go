@@ -45,10 +45,6 @@ type Config struct {
 	// FailRate injects an error on each intercepted operation with this
 	// probability (0 = disabled). Composes with FailEvery.
 	FailRate float64
-	// FailOpens extends injection to OpenFile calls, so reopen attempts
-	// during a degraded spell keep failing until the injector is
-	// disarmed.
-	FailOpens bool
 	// PartialWrites makes an injected Write fault tear the write: about
 	// half the buffer reaches the file before the error returns, the torn
 	// bytes left for the store's CRC recovery to cut off.
@@ -116,13 +112,9 @@ func (f *FS) inject(op string) error {
 	return fmt.Errorf("%w (%s)", ErrInjected, op)
 }
 
-// OpenFile implements store.FS.
+// OpenFile implements store.FS. Opens pass through; the returned file
+// injects faults into its own mutating operations.
 func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (store.File, error) {
-	if f.cfg.FailOpens {
-		if err := f.inject("open " + name); err != nil {
-			return nil, err
-		}
-	}
 	inner, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err

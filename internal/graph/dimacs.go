@@ -42,6 +42,9 @@ func ParseDimacs(name string, r io.Reader) (*Graph, error) {
 			if kind != "edge" && kind != "col" {
 				return nil, fmt.Errorf("dimacs line %d: unsupported format %q", lineNo, kind)
 			}
+			if n < 0 {
+				return nil, fmt.Errorf("dimacs line %d: negative vertex count %d", lineNo, n)
+			}
 			g = New(name, n)
 		case 'e':
 			if g == nil {
@@ -66,6 +69,22 @@ func ParseDimacs(name string, r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("dimacs: no problem line found")
 	}
 	return g, nil
+}
+
+// DimacsVertices returns the vertex count a DIMACS document's problem
+// line declares (0 if none parses), read without allocating per vertex as
+// ParseDimacs does.
+func DimacsVertices(doc string) int {
+	for doc != "" {
+		var line, kind string
+		var n int
+		line, doc, _ = strings.Cut(doc, "\n")
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "p") {
+			fmt.Sscanf(line, "p %s %d", &kind, &n)
+			return n
+		}
+	}
+	return 0
 }
 
 // WriteDimacs writes the graph in DIMACS .col format with each undirected

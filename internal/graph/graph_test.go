@@ -316,12 +316,30 @@ func TestParseDimacsErrors(t *testing.T) {
 		"p edge 2 1\ne 1 5\n",      // endpoint out of range
 		"p edge 2 1\np edge 2 1\n", // duplicate problem line
 		"p graph 2 1\n",            // unsupported format
+		"p edge -5 0\n",            // negative vertex count
 		"x nonsense\n",             // unrecognized line
 		"",                         // no problem line
 	}
 	for _, in := range cases {
 		if _, err := ParseDimacs("bad", strings.NewReader(in)); err == nil {
 			t.Errorf("ParseDimacs(%q) should fail", in)
+		}
+	}
+}
+
+// TestDimacsVertices: the declared count is read from the first problem
+// line, past comments and surrounding blanks, without building the graph.
+func TestDimacsVertices(t *testing.T) {
+	for in, want := range map[string]int{
+		"c big\n  p edge 20000000 0\r\ne 1 2\n": 20000000,
+		"p col 7 3\n":                           7,
+		"p edge -5 0\n":                         -5,
+		"p edge many 0\n":                       0,
+		"c no problem line\n":                   0,
+		"":                                      0,
+	} {
+		if got := DimacsVertices(in); got != want {
+			t.Errorf("DimacsVertices(%q) = %d, want %d", in, got, want)
 		}
 	}
 }

@@ -322,21 +322,9 @@ type JobRequest struct {
 	Priority int    `json:"priority,omitempty"`
 	Deadline string `json:"deadline,omitempty"`
 
-	// Per-job solver search knobs (see service.JobSpec); all optional and
-	// excluded from the isomorphism result cache's key.
-	ChronoThreshold int   `json:"chrono_threshold,omitempty"`
-	VivifyBudget    int64 `json:"vivify_budget,omitempty"`
-	DynamicLBD      bool  `json:"dynamic_lbd,omitempty"`
-	GlueLBD         int   `json:"glue_lbd,omitempty"`
-	ReduceInterval  int64 `json:"reduce_interval,omitempty"`
-	RestartBase     int64 `json:"restart_base,omitempty"`
-
-	// Cube-and-conquer knobs: Parallel > 1 solves the job with that many
-	// workers over generated cubes; CubeDepth and ShareLBD tune the split
-	// and the learnt-clause exchange. Also excluded from the cache key.
-	Parallel  int `json:"parallel,omitempty"`
-	CubeDepth int `json:"cube_depth,omitempty"`
-	ShareLBD  int `json:"share_lbd,omitempty"`
+	// The nine optional search knobs of core.Knobs, flattened into the
+	// body. Excluded from the result cache's key.
+	core.Knobs
 }
 
 // Graph materializes the request's graph source.
@@ -360,6 +348,9 @@ func (r *JobRequest) Graph() (*graph.Graph, error) {
 		}
 		return graph.ParseDimacs(name, strings.NewReader(r.Dimacs))
 	default:
+		if r.N < 0 {
+			return nil, fmt.Errorf("n must be >= 0, got %d", r.N)
+		}
 		name := r.Name
 		if name == "" {
 			name = "edges"
@@ -394,11 +385,7 @@ func (r *JobRequest) Spec() (service.JobSpec, error) {
 	spec = service.JobSpec{
 		K: r.K, SBP: kind, SBPVariant: variant, Engine: eng,
 		Portfolio: r.Portfolio, InstanceDependent: r.InstanceDependent,
-		Priority:        r.Priority,
-		ChronoThreshold: r.ChronoThreshold, VivifyBudget: r.VivifyBudget,
-		DynamicLBD: r.DynamicLBD,
-		GlueLBD:    r.GlueLBD, ReduceInterval: r.ReduceInterval, RestartBase: r.RestartBase,
-		Parallel: r.Parallel, CubeDepth: r.CubeDepth, ShareLBD: r.ShareLBD,
+		Priority: r.Priority, Knobs: r.Knobs,
 	}
 	if r.Timeout != "" {
 		d, err := time.ParseDuration(r.Timeout)
@@ -430,6 +417,12 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	// Refuse an oversized declared vertex count before Graph allocates
+	// per vertex: a 15-byte body can otherwise claim gigabytes.
+	if n := max(req.N, graph.DimacsVertices(req.Dimacs)); n > a.cfg.MaxVertices {
+		tooLarge(w, r, "graph declares %d vertices; this daemon accepts at most %d", n, a.cfg.MaxVertices)
+		return
+	}
 	g, err := req.Graph()
 	if err != nil {
 		apiError(w, r, http.StatusBadRequest, ErrorDetail{
@@ -438,11 +431,8 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if g.N() > a.cfg.MaxVertices || g.M() > a.cfg.MaxEdges {
-		apiError(w, r, http.StatusRequestEntityTooLarge, ErrorDetail{
-			Code: CodeGraphTooLarge,
-			Message: fmt.Sprintf("graph has %d vertices / %d edges; this daemon accepts at most %d / %d",
-				g.N(), g.M(), a.cfg.MaxVertices, a.cfg.MaxEdges),
-		})
+		tooLarge(w, r, "graph has %d vertices / %d edges; this daemon accepts at most %d / %d",
+			g.N(), g.M(), a.cfg.MaxVertices, a.cfg.MaxEdges)
 		return
 	}
 	spec, err := req.Spec()
@@ -453,11 +443,8 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if k := core.EffectiveK(g, spec.K); int64(g.N()+g.M())*int64(k) > MaxFormulaSlots {
-		apiError(w, r, http.StatusRequestEntityTooLarge, ErrorDetail{
-			Code: CodeGraphTooLarge,
-			Message: fmt.Sprintf("(n+m)·K = (%d+%d)·%d exceeds this daemon's formula limit %d",
-				g.N(), g.M(), k, MaxFormulaSlots),
-		})
+		tooLarge(w, r, "(n+m)·K = (%d+%d)·%d exceeds this daemon's formula limit %d",
+			g.N(), g.M(), k, MaxFormulaSlots)
 		return
 	}
 	// The request id doubles as the trace correlation id, so the
@@ -469,6 +456,13 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "request_id": requestID(r)})
+}
+
+// tooLarge answers 413 graph_too_large with a formatted message.
+func tooLarge(w http.ResponseWriter, r *http.Request, format string, args ...any) {
+	apiError(w, r, http.StatusRequestEntityTooLarge, ErrorDetail{
+		Code: CodeGraphTooLarge, Message: fmt.Sprintf(format, args...),
+	})
 }
 
 // submitError maps service.SubmitTenant failures onto the envelope:

@@ -1,0 +1,177 @@
+package httpapi
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/autom"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/pbsolver"
+	"repro/internal/service"
+	"repro/internal/solverutil"
+)
+
+// stubHandler builds the full handler over a service whose solver returns
+// at once (reporting each spec it receives on seen, when non-nil), so
+// submissions can be driven through ServeHTTP without real solves.
+func stubHandler(tb testing.TB, api Config, seen chan<- service.JobSpec) http.Handler {
+	tb.Helper()
+	svc := service.New(service.Config{Workers: 1, Solve: func(ctx context.Context, g *graph.Graph, spec service.JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
+		if seen != nil {
+			seen <- spec
+		}
+		return core.Outcome{Instance: g.Name()}
+	}})
+	tb.Cleanup(svc.Close)
+	api.Service = svc
+	return New(api)
+}
+
+// postJob sends one POST /v1/jobs body straight through the handler.
+func postJob(h http.Handler, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	return rec
+}
+
+// envelopeCode returns the error code of a response body, or "" when the
+// body is not an error envelope.
+func envelopeCode(rec *httptest.ResponseRecorder) string {
+	var env ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		return ""
+	}
+	return env.Error.Code
+}
+
+// TestJobRequestJSONGolden pins the JSON encoding of a fully populated
+// JobRequest: clients and the benchmark harness build these bodies, so no
+// field name, order or omitempty rule may drift. The bytes must also
+// decode back, under the strict decoder, to the same request.
+func TestJobRequestJSONGolden(t *testing.T) {
+	req := JobRequest{
+		Bench: "myciel3", Dimacs: "p edge 2 1\ne 1 2\n", Name: "golden",
+		N: 3, Edges: [][2]int{{0, 1}, {1, 2}},
+		K: 7, SBP: "NU+SC", SBPVariant: "involution", Engine: "galena",
+		Portfolio: true, InstanceDependent: true, Timeout: "5s",
+		Priority: 2, Deadline: "30s",
+		Knobs: core.Knobs{
+			Knobs: pbsolver.Knobs{
+				ChronoThreshold: 3, VivifyBudget: 500, DynamicLBD: true,
+				GlueLBD: 4, ReduceInterval: 3000, RestartBase: 64,
+			},
+			Parallel: 2, CubeDepth: 5, ShareLBD: 6,
+		},
+	}
+	const want = `{"bench":"myciel3","dimacs":"p edge 2 1\ne 1 2\n","name":"golden","n":3,"edges":[[0,1],[1,2]],"k":7,"sbp":"NU+SC","sbp_variant":"involution","engine":"galena","portfolio":true,"instance_dependent":true,"timeout":"5s","priority":2,"deadline":"30s","chrono_threshold":3,"vivify_budget":500,"dynamic_lbd":true,"glue_lbd":4,"reduce_interval":3000,"restart_base":64,"parallel":2,"cube_depth":5,"share_lbd":6}`
+	got, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("JobRequest JSON drifted:\n got %s\nwant %s", got, want)
+	}
+	var back JobRequest
+	dec := json.NewDecoder(strings.NewReader(want))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, req) {
+		t.Fatalf("golden body decodes to %+v, want %+v", back, req)
+	}
+}
+
+// TestKnobsReachSolverOverHTTP: all nine knob JSON names in a POST body
+// arrive at the solve function as submitted.
+func TestKnobsReachSolverOverHTTP(t *testing.T) {
+	seen := make(chan service.JobSpec, 1)
+	h := stubHandler(t, Config{}, seen)
+	rec := postJob(h, `{"n":3,"edges":[[0,1],[1,2]],"k":3,`+
+		`"chrono_threshold":3,"vivify_budget":500,"dynamic_lbd":true,"glue_lbd":4,`+
+		`"reduce_interval":3000,"restart_base":64,"parallel":2,"cube_depth":5,"share_lbd":6}`)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	want := core.Knobs{
+		Knobs: pbsolver.Knobs{
+			ChronoThreshold: 3, VivifyBudget: 500, DynamicLBD: true,
+			GlueLBD: 4, ReduceInterval: 3000, RestartBase: 64,
+		},
+		Parallel: 2, CubeDepth: 5, ShareLBD: 6,
+	}
+	select {
+	case spec := <-seen:
+		if spec.Knobs != want {
+			t.Fatalf("solver saw knobs %+v, posted %+v", spec.Knobs, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("solver never ran")
+	}
+}
+
+// TestHostileVertexCounts: a negative vertex count is a 400 envelope on
+// both inline graph sources rather than a makeslice panic that drops the
+// connection, and an oversized declared count is refused with 413 before
+// anything is allocated per vertex.
+func TestHostileVertexCounts(t *testing.T) {
+	h := stubHandler(t, Config{}, nil)
+	for _, body := range []string{`{"n":-1,"edges":[[0,1]]}`, `{"dimacs":"p edge -5 0\n"}`} {
+		rec := postJob(h, body)
+		if rec.Code != http.StatusBadRequest || envelopeCode(rec) != CodeInvalidSpec {
+			t.Errorf("%s: status %d body %s, want 400 %s", body, rec.Code, rec.Body, CodeInvalidSpec)
+		}
+	}
+	for _, body := range []string{`{"n":20000000}`, `{"dimacs":"p edge 20000000 0\n"}`} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := postJob(h, body)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge || envelopeCode(rec) != CodeGraphTooLarge {
+			t.Errorf("%s: status %d body %s, want 413 %s", body, rec.Code, rec.Body, CodeGraphTooLarge)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+			t.Errorf("%s: refusing it allocated %d MB", body, grew>>20)
+		}
+	}
+}
+
+// FuzzSubmit feeds arbitrary bodies to POST /v1/jobs. Whatever arrives,
+// the handler must not panic, and every non-2xx answer must be an error
+// envelope with a code.
+func FuzzSubmit(f *testing.F) {
+	for _, seed := range []string{
+		`{"bench":"myciel3","k":5}`,
+		`{"n":3,"edges":[[0,1],[1,2]],"k":3,"parallel":2,"cube_depth":4,"share_lbd":-1}`,
+		`{"dimacs":"c x\np edge 3 2\ne 1 2\ne 2 3\n","k":3,"engine":"bnb","portfolio":true}`,
+		`{"n":3,"edges":[[0,1]],"chrono_threshold":1,"vivify_budget":9,"dynamic_lbd":true,"glue_lbd":2,"reduce_interval":5,"restart_base":1}`,
+		`{"n":-1,"edges":[[0,1]]}`,
+		`{"dimacs":"p edge -5 0\n"}`,
+		`{"n":20000000}`,
+		`{"dimacs":"p edge 20000000 0\n"}`,
+		`{"n":2,"edges":[[0,2]]}`,
+		`{"n":4,"edges":[[0,1]],"k":-3,"priority":99,"timeout":"x"}`,
+		`{"n":1,"k":1048576}`,
+		`{"bench":"nope"}`,
+		`{"bogus":1}`,
+		`{not json`,
+		``,
+	} {
+		f.Add(seed)
+	}
+	h := stubHandler(f, Config{MaxVertices: 64, MaxEdges: 256}, nil)
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := postJob(h, body)
+		if rec.Code/100 != 2 && envelopeCode(rec) == "" {
+			t.Fatalf("status %d with a body that is not an error envelope: %q", rec.Code, rec.Body)
+		}
+	})
+}

@@ -72,7 +72,7 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 
 	var exch *Exchange
 	if opts.sharing() && workers > 1 {
-		exch = NewExchange(opts.ExchangeCapacity)
+		exch = NewExchange(exchangeCapacity)
 	}
 	decision := len(f.Objective) == 0
 

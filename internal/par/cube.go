@@ -17,18 +17,13 @@ type CubeOptions struct {
 	// and the polarity order of each split. Generation is fully
 	// deterministic for a fixed seed.
 	Seed int64
-	// MaxCubes soft-caps the emitted cubes (0 = 16384): once reached,
-	// open branches are emitted as shorter cubes instead of being split
-	// further, so the cap never breaks the covering property.
-	MaxCubes int
 }
 
-func (o CubeOptions) maxCubes() int {
-	if o.MaxCubes > 0 {
-		return o.MaxCubes
-	}
-	return 16384
-}
+// maxCubes soft-caps the emitted cubes: once reached, open branches are
+// emitted as shorter cubes instead of being split further, so the cap
+// never breaks the covering property. It is what bounds the work of a
+// cube_depth up to 32 arriving from an untrusted job submission.
+const maxCubes = 16384
 
 // CubeSet is the generator's output: the cubes (conjunctions of decision
 // literals, to be installed as assumptions), the branching variables in
@@ -59,7 +54,6 @@ func CubesPB(f *pb.Formula, opt CubeOptions) CubeSet {
 		return cs
 	}
 	cs.Vars = rankVars(p, f.NumVars, opt.Seed)
-	maxCubes := opt.maxCubes()
 
 	emit := func(cube []cnf.Lit) {
 		cs.Cubes = append(cs.Cubes, append([]cnf.Lit(nil), cube...))

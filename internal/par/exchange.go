@@ -8,8 +8,8 @@ import (
 	"repro/internal/solverutil"
 )
 
-// DefaultExchangeCapacity is the ring size used when Options leave it 0.
-const DefaultExchangeCapacity = 4096
+// exchangeCapacity is the ring size of a parallel solve's exchange.
+const exchangeCapacity = 4096
 
 // Exchange is the lock-light learnt-clause channel between conquer
 // workers: a fixed-capacity ring buffer of shared clauses with one global
@@ -37,12 +37,9 @@ type slot struct {
 	lits []cnf.Lit
 }
 
-// NewExchange builds an exchange with the given ring capacity (≤ 0 selects
-// DefaultExchangeCapacity).
+// NewExchange builds an exchange with the given ring capacity, which must
+// be positive.
 func NewExchange(capacity int) *Exchange {
-	if capacity <= 0 {
-		capacity = DefaultExchangeCapacity
-	}
 	return &Exchange{buf: make([]slot, capacity)}
 }
 

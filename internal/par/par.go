@@ -61,10 +61,6 @@ type Options struct {
 	// branching variables. Generation is fully deterministic for a fixed
 	// seed (the conquest order is not — workers race).
 	Seed int64
-	// ExchangeCapacity bounds the sharing ring buffer (0 = 4096 clauses).
-	// A worker that falls more than a full ring behind misses the
-	// overwritten clauses — sharing is best-effort by design.
-	ExchangeCapacity int
 	// Solver is the per-worker engine template: engine selection, search
 	// knobs, Timeout and MaxConflicts (both per worker, spanning all of
 	// its cubes), and the Progress callback, which receives snapshots

@@ -23,7 +23,7 @@ func TestDecideWithAggressiveReduction(t *testing.T) {
 			for iter := 0; iter < 120; iter++ {
 				f := randomPBFormula(rng, 4+rng.Intn(5))
 				wantSat, _ := bruteOptimum(f)
-				res := Decide(context.Background(), f, Options{Engine: eng, ReduceInterval: 8, GlueLBD: 1})
+				res := Decide(context.Background(), f, Options{Engine: eng, Knobs: Knobs{ReduceInterval: 8, GlueLBD: 1}})
 				if res.Status == StatusUnknown {
 					t.Fatalf("iter %d: unexpected UNKNOWN", iter)
 				}
@@ -47,7 +47,7 @@ func TestReductionStatsPlumbing(t *testing.T) {
 	for iter := 0; iter < 200 && saw.Reduces == 0; iter++ {
 		f := randomPBFormula(rng, 8)
 		withObjective(rng, f)
-		res := Optimize(context.Background(), f, Options{Engine: EnginePBS, ReduceInterval: 4})
+		res := Optimize(context.Background(), f, Options{Engine: EnginePBS, Knobs: Knobs{ReduceInterval: 4}})
 		saw.add(res.Stats)
 	}
 	if saw.Reduces == 0 {
@@ -76,7 +76,7 @@ func TestEnginesShareNoSolverState(t *testing.T) {
 			wg.Add(1)
 			go func(eng Engine) {
 				defer wg.Done()
-				res := Optimize(context.Background(), f, Options{Engine: eng, ReduceInterval: 16})
+				res := Optimize(context.Background(), f, Options{Engine: eng, Knobs: Knobs{ReduceInterval: 16}})
 				switch {
 				case wantSat && (res.Status != StatusOptimal || res.Objective != wantZ):
 					t.Errorf("%v: got %v obj=%d, want OPTIMAL %d", eng, res.Status, res.Objective, wantZ)
@@ -160,7 +160,7 @@ func solveEngine(e *cdclEngine) Status {
 // reduce+GC cycle mid-search. A broken remap would flip the verdict or trip
 // the reason-invariant panics in analyze.
 func TestReduceGCCycleKeepsInvariants(t *testing.T) {
-	e := buildCDCL(clausePigeonhole(8, 7), Options{ReduceInterval: 30})
+	e := buildCDCL(clausePigeonhole(8, 7), Options{Knobs: Knobs{ReduceInterval: 30}})
 	if st := solveEngine(e); st != StatusUnsat {
 		t.Fatalf("status = %v, want UNSAT", st)
 	}

@@ -186,8 +186,8 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 func TestRandomWithPhaseSaving(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, opts := range []Options{
-		{RestartBaseOverride: 10, VarDecayOverride: 0.8},
-		{NoPhaseSaving: true, RestartBaseOverride: 10},
+		{VarDecayOverride: 0.8, Knobs: Knobs{RestartBase: 10}},
+		{NoPhaseSaving: true, Knobs: Knobs{RestartBase: 10}},
 	} {
 		for iter := 0; iter < 200; iter++ {
 			nVars := 4 + rng.Intn(7)
@@ -226,7 +226,7 @@ func TestRandom3SATNearThreshold(t *testing.T) {
 			}
 			f.AddClause(cl...)
 		}
-		ok, res := decideCNF(t, f, Options{RestartBaseOverride: 16})
+		ok, res := decideCNF(t, f, Options{Knobs: Knobs{RestartBase: 16}})
 		if ok {
 			sat++
 		} else {
@@ -244,7 +244,7 @@ func TestRandom3SATNearThreshold(t *testing.T) {
 // TestReduceDBPreservesCorrectness forces heavy learning and database
 // reduction, then re-checks a known answer.
 func TestReduceDBPreservesCorrectness(t *testing.T) {
-	res := Decide(context.Background(), clausePigeonhole(8, 7), Options{RestartBaseOverride: 8})
+	res := Decide(context.Background(), clausePigeonhole(8, 7), Options{Knobs: Knobs{RestartBase: 8}})
 	if res.Status != StatusUnsat {
 		t.Fatalf("PHP(8,7) = %v, want UNSAT", res.Status)
 	}
@@ -258,7 +258,7 @@ func TestReduceDBPreservesCorrectness(t *testing.T) {
 var clauseEngines = []Engine{EnginePBS, EngineGalena, EnginePueblo}
 
 func TestChronoBacktracksCounted(t *testing.T) {
-	res := Decide(context.Background(), clausePigeonhole(6, 5), Options{ChronoThreshold: 1})
+	res := Decide(context.Background(), clausePigeonhole(6, 5), Options{Knobs: Knobs{ChronoThreshold: 1}})
 	if res.Status != StatusUnsat {
 		t.Fatalf("PHP(6,5) with chrono = %v, want UNSAT", res.Status)
 	}
@@ -289,7 +289,7 @@ func TestVivificationShrinksRedundantSuffix(t *testing.T) {
 		f.AddClause(lit(a), lit(b))
 		f.AddClause(lit(a), lit(b), lit(c), lit(d))
 		res := Decide(context.Background(), f, Options{
-			Engine: eng, RestartBaseOverride: 1, VivifyBudget: 10000,
+			Engine: eng, Knobs: Knobs{RestartBase: 1, VivifyBudget: 10000},
 		})
 		if res.Status != StatusUnsat {
 			t.Fatalf("%v: PHP(5,4)+gadget = %v, want UNSAT", eng, res.Status)
@@ -303,7 +303,7 @@ func TestVivificationShrinksRedundantSuffix(t *testing.T) {
 
 func TestDynamicLBDRetiersClauses(t *testing.T) {
 	for _, eng := range clauseEngines {
-		res := Decide(context.Background(), clausePigeonhole(7, 6), Options{Engine: eng, DynamicLBD: true})
+		res := Decide(context.Background(), clausePigeonhole(7, 6), Options{Engine: eng, Knobs: Knobs{DynamicLBD: true}})
 		if res.Status != StatusUnsat {
 			t.Fatalf("%v: PHP(7,6) = %v, want UNSAT", eng, res.Status)
 		}
@@ -318,11 +318,11 @@ func TestDynamicLBDRetiersClauses(t *testing.T) {
 // never the answer.
 func TestKnobsAgreeWithBruteForce(t *testing.T) {
 	knobSets := []Options{
-		{ChronoThreshold: 1},
-		{ChronoThreshold: 3},
-		{VivifyBudget: 500, RestartBaseOverride: 1},
-		{DynamicLBD: true},
-		{ChronoThreshold: 1, VivifyBudget: 500, DynamicLBD: true, RestartBaseOverride: 1},
+		{Knobs: Knobs{ChronoThreshold: 1}},
+		{Knobs: Knobs{ChronoThreshold: 3}},
+		{Knobs: Knobs{VivifyBudget: 500, RestartBase: 1}},
+		{Knobs: Knobs{DynamicLBD: true}},
+		{Knobs: Knobs{ChronoThreshold: 1, VivifyBudget: 500, DynamicLBD: true, RestartBase: 1}},
 	}
 	rng := rand.New(rand.NewSource(20260726))
 	for iter := 0; iter < 60; iter++ {

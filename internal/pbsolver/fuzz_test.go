@@ -19,15 +19,15 @@ func cnfFromFuzz(data []byte) (*cnf.Formula, Options, bool) {
 	}
 	nVars := 1 + int(data[0]%12)
 	knobs := data[1]
-	opts := Options{
+	opts := Options{Knobs: Knobs{
 		ChronoThreshold: int(knobs % 4),
 		DynamicLBD:      knobs&8 != 0,
-	}
+	}}
 	if knobs&4 != 0 {
 		opts.VivifyBudget = 200
 	}
 	if knobs&16 != 0 {
-		opts.RestartBaseOverride = 1
+		opts.RestartBase = 1
 	}
 	f := cnf.NewFormula(nVars)
 	var clause []cnf.Lit

@@ -35,7 +35,7 @@ func clausePigeonhole(pigeons, holes int) *pb.Formula {
 func TestChronoBacktracksCountedPB(t *testing.T) {
 	for _, eng := range []Engine{EnginePBS, EngineGalena, EnginePueblo} {
 		f := pigeonPB(6, 5)
-		res := Decide(context.Background(), f, Options{Engine: eng, ChronoThreshold: 1})
+		res := Decide(context.Background(), f, Options{Engine: eng, Knobs: Knobs{ChronoThreshold: 1}})
 		if res.Status != StatusUnsat {
 			t.Fatalf("%v: PHP-PB(6,5) = %v, want UNSAT", eng, res.Status)
 		}
@@ -52,7 +52,7 @@ func TestVivificationShrinksClausesPB(t *testing.T) {
 	f.AddClause(cnf.PosLit(a), cnf.PosLit(b))
 	f.AddClause(cnf.PosLit(a), cnf.PosLit(b), cnf.PosLit(c), cnf.PosLit(d))
 	res := Decide(context.Background(), f, Options{
-		Engine: EnginePBS, RestartBaseOverride: 1, VivifyBudget: 10000,
+		Engine: EnginePBS, Knobs: Knobs{RestartBase: 1, VivifyBudget: 10000},
 	})
 	if res.Status != StatusUnsat {
 		t.Fatalf("PHP(5,4)+gadget = %v, want UNSAT", res.Status)
@@ -64,7 +64,7 @@ func TestVivificationShrinksClausesPB(t *testing.T) {
 
 func TestDynamicLBDRetiersClausesPB(t *testing.T) {
 	f := clausePigeonhole(7, 6)
-	res := Decide(context.Background(), f, Options{Engine: EnginePBS, DynamicLBD: true})
+	res := Decide(context.Background(), f, Options{Engine: EnginePBS, Knobs: Knobs{DynamicLBD: true}})
 	if res.Status != StatusUnsat {
 		t.Fatalf("PHP(7,6) = %v, want UNSAT", res.Status)
 	}
@@ -77,10 +77,10 @@ func TestDynamicLBDRetiersClausesPB(t *testing.T) {
 // change Optimize answers on random mixed clause/PB instances.
 func TestKnobsAgreeWithBruteForcePB(t *testing.T) {
 	knobSets := []Options{
-		{ChronoThreshold: 1},
-		{VivifyBudget: 300, RestartBaseOverride: 1},
-		{DynamicLBD: true},
-		{ChronoThreshold: 2, VivifyBudget: 300, DynamicLBD: true, RestartBaseOverride: 1},
+		{Knobs: Knobs{ChronoThreshold: 1}},
+		{Knobs: Knobs{VivifyBudget: 300, RestartBase: 1}},
+		{Knobs: Knobs{DynamicLBD: true}},
+		{Knobs: Knobs{ChronoThreshold: 2, VivifyBudget: 300, DynamicLBD: true, RestartBase: 1}},
 	}
 	rng := rand.New(rand.NewSource(777))
 	for iter := 0; iter < 25; iter++ {

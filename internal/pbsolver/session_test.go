@@ -167,7 +167,7 @@ func TestIncrementalReuseAcrossAssumptionProbes(t *testing.T) {
 // the incremental assumption interface (the chromatic-probe path).
 func TestKnobsWithAssumptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	opts := Options{ChronoThreshold: 1, VivifyBudget: 200, DynamicLBD: true, RestartBaseOverride: 1}
+	opts := Options{Knobs: Knobs{ChronoThreshold: 1, VivifyBudget: 200, DynamicLBD: true, RestartBase: 1}}
 	for iter := 0; iter < 25; iter++ {
 		f := testutil.RandomCNF(rng, 10, 35, 3)
 		s := cnfSession(f, opts)

@@ -101,6 +101,36 @@ func (s Status) String() string {
 	return "UNKNOWN"
 }
 
+// Knobs are the engine search knobs a job may set. Each steers how an
+// engine searches, never which answer it reaches; the zero value selects
+// every engine default. core.Knobs embeds them, so the JSON tags are the
+// gcolord wire names.
+type Knobs struct {
+	// ChronoThreshold enables chronological backtracking (Nadel & Ryvchin
+	// 2018): when the backjump level is more than this many levels below
+	// the conflict level, backtrack a single level instead and assert the
+	// learnt clause there. 0 disables. Ignored by EngineBnB (which is
+	// chronological by construction).
+	ChronoThreshold int `json:"chrono_threshold,omitempty"`
+	// VivifyBudget enables clause vivification at restarts: up to this
+	// many propagations are spent per restart shrinking long clauses
+	// whose suffix is implied. 0 disables. Ignored by EngineBnB.
+	VivifyBudget int64 `json:"vivify_budget,omitempty"`
+	// DynamicLBD recomputes learnt-clause LBDs during conflict analysis,
+	// re-tiering glue clauses as the search evolves. Ignored by EngineBnB.
+	DynamicLBD bool `json:"dynamic_lbd,omitempty"`
+	// GlueLBD is the LBD at or below which learnt clauses are never
+	// deleted (Audemard & Simon 2009); 0 selects 2.
+	GlueLBD int `json:"glue_lbd,omitempty"`
+	// ReduceInterval is the conflict count between learnt-database
+	// reductions (the interval grows by ReduceInterval/8 after each
+	// reduction); 0 selects 2000.
+	ReduceInterval int64 `json:"reduce_interval,omitempty"`
+	// RestartBase is the Luby restart unit in conflicts; 0 selects the
+	// engine default (100, or 50 for EnginePueblo).
+	RestartBase int64 `json:"restart_base,omitempty"`
+}
+
 // Options configure a solve.
 type Options struct {
 	Engine   Engine
@@ -114,30 +144,10 @@ type Options struct {
 	Timeout time.Duration
 	// NoPhaseSaving disables progress saving on decisions.
 	NoPhaseSaving bool
-	// VarDecayOverride / RestartBaseOverride replace the engine defaults
-	// when nonzero (used by ablation benches).
-	VarDecayOverride    float64
-	RestartBaseOverride int64
-	// GlueLBD is the LBD at or below which learnt clauses are never
-	// deleted (Audemard & Simon 2009); 0 selects 2.
-	GlueLBD int
-	// ReduceInterval is the conflict count between learnt-database
-	// reductions (the interval grows by ReduceInterval/8 after each
-	// reduction); 0 selects 2000.
-	ReduceInterval int64
-	// ChronoThreshold enables chronological backtracking (Nadel & Ryvchin
-	// 2018): when the backjump level is more than this many levels below
-	// the conflict level, backtrack a single level instead and assert the
-	// learnt clause there. 0 disables. Ignored by EngineBnB (which is
-	// chronological by construction).
-	ChronoThreshold int
-	// VivifyBudget enables clause vivification at restarts: up to this
-	// many propagations are spent per restart shrinking long clauses
-	// whose suffix is implied. 0 disables. Ignored by EngineBnB.
-	VivifyBudget int64
-	// DynamicLBD recomputes learnt-clause LBDs during conflict analysis,
-	// re-tiering glue clauses as the search evolves. Ignored by EngineBnB.
-	DynamicLBD bool
+	// VarDecayOverride replaces the engine's VSIDS decay when nonzero
+	// (used by ablation benches).
+	VarDecayOverride float64
+	Knobs
 	// Export, when non-nil, receives every learnt clause whose LBD is at
 	// or below ExportLBD (clause sharing between cooperating engines, e.g.
 	// internal/par's cube-and-conquer workers). Called on the conflict
@@ -179,8 +189,8 @@ func (o Options) varDecay() float64 {
 }
 
 func (o Options) restartBase() int64 {
-	if o.RestartBaseOverride != 0 {
-		return o.RestartBaseOverride
+	if o.RestartBase != 0 {
+		return o.RestartBase
 	}
 	if o.Engine == EnginePueblo {
 		return 50

@@ -16,6 +16,11 @@ const (
 	ReasonDraining    = "draining"
 )
 
+// retryAfterHint is the RetryAfter suggested on queue-full, in-flight
+// quota and draining rejections; rate-limit rejections compute the exact
+// token-refill wait instead.
+const retryAfterHint = time.Second
+
 // AdmissionError is a typed Submit rejection: the service is applying
 // backpressure (bounded queue) or enforcing a tenant's quota, and the
 // caller should retry after RetryAfter rather than treat the job as

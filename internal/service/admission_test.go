@@ -313,7 +313,7 @@ func TestValidateFieldErrors(t *testing.T) {
 	spec := JobSpec{
 		K:        -1,
 		Priority: MaxPriority + 1,
-		Parallel: MaxParallel + 1,
+		Knobs:    core.Knobs{Parallel: MaxParallel + 1},
 		Deadline: -time.Second,
 	}
 	err := spec.Validate()

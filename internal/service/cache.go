@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/autom"
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -12,14 +11,12 @@ import (
 // changes the answer or its provenance) plus the canonical-form hash.
 // Equal canonical encodings imply isomorphic graphs even when the
 // canonical search was truncated, so keying on the hash is always sound;
-// truncation only costs dedup opportunities. Timeout, the six engine
-// tuning knobs (ChronoThreshold, VivifyBudget, DynamicLBD, GlueLBD,
-// ReduceInterval, RestartBase), the parallel knobs (Parallel, CubeDepth,
-// ShareLBD), the SBP variant (SBPVariant — every variant is a sound
-// partial break of the same group, see internal/sbp), and the admission
-// fields (Priority, Deadline) are deliberately left out: they change how
-// fast a definitive answer is reached, never which answer, so differently
-// tuned submissions safely share entries. The same key addresses both the
+// truncation only costs dedup opportunities. Timeout, the SBP variant
+// (every variant is a sound partial break of the same group, see
+// internal/sbp), the admission fields (Priority, Deadline) and the search
+// knobs of core.Knobs are deliberately left out: they change how fast a
+// definitive answer is reached, never which answer, so differently tuned
+// submissions safely share entries. The same key addresses both the
 // in-flight singleflight table and the durable Backend, so its format is
 // part of the on-disk store contract (see docs/API.md).
 //
@@ -69,29 +66,23 @@ func (e *entry) materialize(g *graph.Graph, canon *autom.Canonical) *Result {
 	return materializeRecord(e.rec, g, canon)
 }
 
-// recordFromOutcome converts a definitive solve outcome into a cache
-// record in canonical vertex space. canon is the solving graph's canonical
-// form.
-func recordFromOutcome(out core.Outcome, spec JobSpec, canon *autom.Canonical) CacheRecord {
+// recordFromResult converts a definitive job result into a cache record
+// in the canonical vertex space of canon. Every field, Winner included,
+// is the result's own, so a later hit reports what the solve reported.
+func recordFromResult(res *Result, canon *autom.Canonical) CacheRecord {
 	rec := CacheRecord{
-		Status:           out.Result.Status,
-		Chi:              out.Chi,
-		Runtime:          out.Result.Runtime,
-		Conflicts:        out.Result.Stats.Conflicts,
-		ChronoBacktracks: out.Result.Stats.ChronoBacktracks,
-		VivifiedLits:     out.Result.Stats.VivifiedLits,
-		LBDUpdates:       out.Result.Stats.LBDUpdates,
+		Status:           res.Status,
+		Chi:              res.Chi,
+		Winner:           res.Winner,
+		Runtime:          res.Runtime,
+		Conflicts:        res.Conflicts,
+		ChronoBacktracks: res.ChronoBacktracks,
+		VivifiedLits:     res.VivifiedLits,
+		LBDUpdates:       res.LBDUpdates,
 	}
-	// Records are only built from definitive outcomes, so the portfolio
-	// winner is always meaningful here.
-	if spec.Portfolio {
-		rec.Winner = out.Winner.String()
-	} else {
-		rec.Winner = spec.Engine.String()
-	}
-	if out.Coloring != nil {
-		rec.CanonColoring = make([]int, len(out.Coloring))
-		for v, c := range out.Coloring {
+	if res.Coloring != nil {
+		rec.CanonColoring = make([]int, len(res.Coloring))
+		for v, c := range res.Coloring {
 			rec.CanonColoring[canon.Perm[v]] = c
 		}
 	}

@@ -35,8 +35,10 @@ func TestKnobPlumbingReachesSolver(t *testing.T) {
 	want := JobSpec{
 		K: 5, Engine: pbsolver.EnginePueblo,
 		InstanceDependent: true, SBPVariant: sbp.VariantInvolution,
-		ChronoThreshold: 7, VivifyBudget: 1234, DynamicLBD: true,
-		GlueLBD: 3, ReduceInterval: 4000, RestartBase: 64,
+		Knobs: core.Knobs{Knobs: pbsolver.Knobs{
+			ChronoThreshold: 7, VivifyBudget: 1234, DynamicLBD: true,
+			GlueLBD: 3, ReduceInterval: 4000, RestartBase: 64,
+		}},
 	}
 	id, err := svc.Submit(g, want)
 	if err != nil {
@@ -86,7 +88,7 @@ func TestKnobsShareCacheEntries(t *testing.T) {
 	}
 
 	first := submitAndWait(JobSpec{K: 6})
-	tuned := submitAndWait(JobSpec{K: 6, ChronoThreshold: 2, VivifyBudget: 500, DynamicLBD: true})
+	tuned := submitAndWait(JobSpec{K: 6, Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 2, VivifyBudget: 500, DynamicLBD: true}}})
 	if !tuned.CacheHit {
 		t.Fatal("job differing only in search knobs missed the cache")
 	}
@@ -97,7 +99,7 @@ func TestKnobsShareCacheEntries(t *testing.T) {
 		t.Fatalf("solver ran %d times, want 1 (knobs are not part of the key)", runs)
 	}
 
-	other := submitAndWait(JobSpec{K: 7, ChronoThreshold: 2})
+	other := submitAndWait(JobSpec{K: 7, Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 2}}})
 	if other.CacheHit {
 		t.Fatal("job with a different K (part of the key) hit the cache")
 	}
@@ -114,7 +116,7 @@ func TestDefaultSolveAppliesKnobs(t *testing.T) {
 	g := graph.Random("oracle", 8, 16, 1)
 	chi := testutil.BruteForceChromatic(g)
 	id, err := svc.Submit(g, JobSpec{
-		K: 8, ChronoThreshold: 1, VivifyBudget: 500, DynamicLBD: true,
+		K: 8, Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 1, VivifyBudget: 500, DynamicLBD: true}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
@@ -20,7 +21,7 @@ func TestParallelJobEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(g, JobSpec{K: 8, SBP: encode.SBPNU, Parallel: 3, CubeDepth: 4})
+	id, err := svc.Submit(g, JobSpec{K: 8, SBP: encode.SBPNU, Knobs: core.Knobs{Parallel: 3, CubeDepth: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestParallelKnobsShareCacheEntries(t *testing.T) {
 	if _, err := svc.Wait(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
-	second, err := svc.Submit(g, JobSpec{K: 6, SBP: encode.SBPNU, Parallel: 4, CubeDepth: 3, ShareLBD: 5})
+	second, err := svc.Submit(g, JobSpec{K: 6, SBP: encode.SBPNU, Knobs: core.Knobs{Parallel: 4, CubeDepth: 3, ShareLBD: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,5 +73,36 @@ func TestParallelKnobsShareCacheEntries(t *testing.T) {
 	}
 	if st := svc.Stats(); st.SolverRuns != 1 {
 		t.Fatalf("want 1 solver run, got %d", st.SolverRuns)
+	}
+}
+
+// TestParallelBnBCacheHitKeepsWinner: a parallel job with engine bnb is
+// conquered by pbs2 workers and says so; a cache hit on that solve must
+// report the same winner, not the engine the spec named.
+func TestParallelBnBCacheHitKeepsWinner(t *testing.T) {
+	svc := New(Config{Workers: 1, DefaultTimeout: 2 * time.Minute})
+	defer svc.Close()
+
+	g, err := graph.Benchmark("myciel3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{K: 6, SBP: encode.SBPNU, Engine: pbsolver.EngineBnB, Knobs: core.Knobs{Parallel: 2}}
+	for i, wantHit := range []bool{false, true} {
+		id, err := svc.Submit(g, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := svc.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := info.Result
+		if r == nil || !r.Solved || r.CacheHit != wantHit {
+			t.Fatalf("submission %d: result %+v, want solved with cache_hit=%t", i, r, wantHit)
+		}
+		if r.Winner != "pbs2" {
+			t.Fatalf("submission %d (cache_hit=%t): winner %q, want pbs2", i, r.CacheHit, r.Winner)
+		}
 	}
 }

@@ -72,12 +72,10 @@ func (e *PanicError) Error() string { return "service: solver panic: " + e.Value
 // InstanceDependent — so two jobs share a result only when their
 // canonical graph forms and those fields agree. Every other field is left
 // out (see cacheKey): Timeout, the admission fields (Priority, Deadline),
-// SBPVariant, the search knobs (ChronoThreshold, VivifyBudget,
-// DynamicLBD, GlueLBD, ReduceInterval, RestartBase) and the parallel knobs
-// (Parallel, CubeDepth, ShareLBD). They change how fast a definitive
-// answer arrives, never which answer, so differently tuned submissions
-// share results; only definitive (budget-independent) results are ever
-// cached.
+// SBPVariant and the search knobs of core.Knobs. They change how fast a
+// definitive answer arrives, never which answer, so differently tuned
+// submissions share results; only definitive (budget-independent) results
+// are ever cached.
 type JobSpec struct {
 	// K is the color bound (0 = max degree + 1, as in core.Solve).
 	K int `json:"k"`
@@ -110,32 +108,8 @@ type JobSpec struct {
 	// is cut at the deadline even when Timeout allows more. 0 = no
 	// deadline. Excluded from the cache key.
 	Deadline time.Duration `json:"deadline,omitempty"`
-	// ChronoThreshold enables chronological backtracking in the CDCL
-	// engines: backjumps undoing more than this many levels retreat one
-	// level instead (0 = disabled). Excluded from the cache key.
-	ChronoThreshold int `json:"chrono_threshold,omitempty"`
-	// VivifyBudget enables clause vivification at restarts, bounded by
-	// this many propagations per pass (0 = disabled). Excluded from the
-	// cache key.
-	VivifyBudget int64 `json:"vivify_budget,omitempty"`
-	// DynamicLBD recomputes learnt-clause LBDs during conflict analysis.
-	// Excluded from the cache key.
-	DynamicLBD bool `json:"dynamic_lbd,omitempty"`
-	// GlueLBD, ReduceInterval and RestartBase override the engines'
-	// learnt-database and restart defaults (0 = engine default). Like the
-	// search knobs above, they steer the search without changing answers
-	// and are excluded from the cache key.
-	GlueLBD        int   `json:"glue_lbd,omitempty"`
-	ReduceInterval int64 `json:"reduce_interval,omitempty"`
-	RestartBase    int64 `json:"restart_base,omitempty"`
-	// Parallel > 1 solves with the cube-and-conquer subsystem
-	// (internal/par) on that many workers; CubeDepth and ShareLBD tune
-	// the split and the learnt-clause exchange (see core.Config). All
-	// three steer how the search is run, never which answer it reaches,
-	// so they too are excluded from the cache key.
-	Parallel  int `json:"parallel,omitempty"`
-	CubeDepth int `json:"cube_depth,omitempty"`
-	ShareLBD  int `json:"share_lbd,omitempty"`
+	// The nine search knobs of core.Knobs, flattened into the JSON.
+	core.Knobs
 }
 
 // State is a job's lifecycle phase.
@@ -331,25 +305,10 @@ func DefaultSolve(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom
 func defaultSolve(progressInterval time.Duration) SolveFunc {
 	return func(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
 		return core.Solve(ctx, g, core.Config{
-			K:                 spec.K,
-			SBP:               spec.SBP,
-			Engine:            spec.Engine,
-			Portfolio:         spec.Portfolio,
-			InstanceDependent: spec.InstanceDependent,
-			SBPVariant:        spec.SBPVariant,
-			GraphGens:         sym,
-			Timeout:           spec.Timeout,
-			ChronoThreshold:   spec.ChronoThreshold,
-			VivifyBudget:      spec.VivifyBudget,
-			DynamicLBD:        spec.DynamicLBD,
-			GlueLBD:           spec.GlueLBD,
-			ReduceInterval:    spec.ReduceInterval,
-			RestartBase:       spec.RestartBase,
-			Parallel:          spec.Parallel,
-			CubeDepth:         spec.CubeDepth,
-			ShareLBD:          spec.ShareLBD,
-			Progress:          progress,
-			ProgressInterval:  progressInterval,
+			K: spec.K, SBP: spec.SBP, Engine: spec.Engine, Portfolio: spec.Portfolio,
+			InstanceDependent: spec.InstanceDependent, SBPVariant: spec.SBPVariant,
+			GraphGens: sym, Timeout: spec.Timeout, Knobs: spec.Knobs,
+			Progress: progress, ProgressInterval: progressInterval,
 		})
 	}
 }
@@ -406,10 +365,6 @@ type Config struct {
 	// (0 = unlimited). Beyond it, Submit rejects with ErrOverQuota so a
 	// single tenant saturating the service cannot starve the others.
 	TenantMaxInFlight int
-	// RetryAfterHint is the retry delay suggested on queue-full and
-	// in-flight-quota rejections (default 1s; rate-limit rejections
-	// compute the exact token-refill wait instead).
-	RetryAfterHint time.Duration
 	// Logger receives structured job-lifecycle records (accepts,
 	// rejects, and one line per finished job with tenant, cache hit/miss,
 	// queue wait, solve time, and outcome). nil disables logging.
@@ -619,9 +574,6 @@ func New(cfg Config) *Service {
 			cfg.TenantBurst = 1
 		}
 	}
-	if cfg.RetryAfterHint <= 0 {
-		cfg.RetryAfterHint = time.Second
-	}
 	s := &Service{
 		cfg:              cfg,
 		solve:            cfg.Solve,
@@ -801,7 +753,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 		s.mu.Unlock()
 		cancel()
 		return "", s.reject(&AdmissionError{
-			Reason: ReasonDraining, Tenant: tenant, RetryAfter: s.cfg.RetryAfterHint,
+			Reason: ReasonDraining, Tenant: tenant, RetryAfter: retryAfterHint,
 		})
 	}
 	ts := s.tenant(tenant)
@@ -810,7 +762,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 		s.mu.Unlock()
 		cancel()
 		return "", s.reject(&AdmissionError{
-			Reason: ReasonOverQuota, Tenant: tenant, RetryAfter: s.cfg.RetryAfterHint,
+			Reason: ReasonOverQuota, Tenant: tenant, RetryAfter: retryAfterHint,
 		})
 	}
 	if s.pq.len() >= s.cfg.QueueDepth {
@@ -818,7 +770,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 		s.mu.Unlock()
 		cancel()
 		return "", s.reject(&AdmissionError{
-			Reason: ReasonQueueFull, Tenant: tenant, RetryAfter: s.cfg.RetryAfterHint,
+			Reason: ReasonQueueFull, Tenant: tenant, RetryAfter: retryAfterHint,
 		})
 	}
 	// Last so a rejection for any other reason never burns a token.
@@ -1272,25 +1224,11 @@ func (s *Service) run(j *job) {
 	}
 	res := resultFromOutcome(out, j.spec, canon.Exact)
 	if res.Solved {
-		rec := recordFromOutcome(out, j.spec, canon)
-		// Waiters always get the record — an equal key in-process means
-		// isomorphic graphs even when inexact. Persisting is another
-		// matter: an inexact key is budget- and order-dependent, never
-		// produced again, so a durable entry under it is pure store bloat.
+		rec := recordFromResult(res, canon)
+		// Waiters always get the record: an equal key in-process means
+		// isomorphic graphs even when inexact.
 		e.publishRecord(rec)
-		if !canon.Exact {
-			s.inexactSkip.Add(1)
-		} else {
-			j.setPhase("persist")
-			persist := j.trace.StartSpan(j.rootSpan, "persist")
-			err := s.backend.Put(key, rec)
-			persist.End(obs.Bool("cache_write", err == nil))
-			if err != nil {
-				// Best-effort persistence: the result still stands, the
-				// entry is just not durable.
-				s.storeErrs.Add(1)
-			}
-		}
+		s.persist(j, key, canon, rec)
 	} else {
 		// Do not let a budget-exhausted result poison future submissions
 		// that may carry a larger budget.
@@ -1298,6 +1236,23 @@ func (s *Service) run(j *job) {
 	}
 	s.unregister(key)
 	s.finish(j, res, nil)
+}
+
+// persist stores a definitive record under key, best-effort: on a store
+// error the result still stands. An inexact key is budget- and
+// order-dependent, never produced again, so persisting it is skipped.
+func (s *Service) persist(j *job, key string, canon *autom.Canonical, rec CacheRecord) {
+	if !canon.Exact {
+		s.inexactSkip.Add(1)
+		return
+	}
+	j.setPhase("persist")
+	span := j.trace.StartSpan(j.rootSpan, "persist")
+	err := s.backend.Put(key, rec)
+	span.End(obs.Bool("cache_write", err == nil))
+	if err != nil {
+		s.storeErrs.Add(1)
+	}
 }
 
 // unregister removes a published singleflight entry from the in-flight
@@ -1319,17 +1274,7 @@ func (s *Service) runSolver(ctx context.Context, j *job, canon *autom.Canonical,
 	}
 	res := resultFromOutcome(out, j.spec, canon.Exact)
 	if res.Solved {
-		if !canon.Exact {
-			s.inexactSkip.Add(1)
-		} else {
-			j.setPhase("persist")
-			persist := j.trace.StartSpan(j.rootSpan, "persist")
-			err := s.backend.Put(key, recordFromOutcome(out, j.spec, canon))
-			persist.End(obs.Bool("cache_write", err == nil))
-			if err != nil {
-				s.storeErrs.Add(1)
-			}
-		}
+		s.persist(j, key, canon, recordFromResult(res, canon))
 	}
 	s.finish(j, res, nil)
 }

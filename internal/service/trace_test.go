@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -24,7 +25,7 @@ func TestParallelSolveTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(g, JobSpec{K: 8, SBP: encode.SBPNU, Parallel: 3, CubeDepth: 4})
+	id, err := svc.Submit(g, JobSpec{K: 8, SBP: encode.SBPNU, Knobs: core.Knobs{Parallel: 3, CubeDepth: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-baseline bench-compare fmt vet linkcheck docs loadtest chaostest crashtest tracecheck sbpdata sbpdata-check
+.PHONY: build test race fuzz bench bench-baseline bench-compare fmt vet linkcheck docs loc loadtest chaostest crashtest tracecheck sbpdata sbpdata-check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the production size that simplicity changes cite: non-test
+# Go lines outside e2ebench/ (a separate module) and .bench_build/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './e2ebench/*' \
+		-not -path './.bench_build/*' -not -path './.git/*' -print0 | xargs -0 cat | wc -l
 
 # loadtest is the admission-control smoke: loadgen drives an in-process
 # gcolord handler through an overload scenario (must shed load with

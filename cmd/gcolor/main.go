@@ -49,7 +49,7 @@ func main() {
 	batch := flag.String("batch", "", "comma-separated instances (bench names or .col paths) solved through the coloring service")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	k := flag.Int("k", 20, "color bound K")
-	sbpName := flag.String("sbp", "none", "symmetry breaking: a construction (none,NU,CA,LI,SC,NU+SC) and/or a lex-leader variant (full,involution,canonset,race), comma-combinable, e.g. NU,involution; involution and race imply -instdep")
+	sbpName := flag.String("sbp", "none", "symmetry breaking: a construction (none,NU,CA,LI,SC,NU+SC) and/or a lex-leader variant (full,canonset), comma-combinable, e.g. NU,canonset; involution and race are aliases of full and do not imply -instdep")
 	instDep := flag.Bool("instdep", false, "detect and break instance-dependent symmetries")
 	engineName := flag.String("engine", "pbs2", "solver engine: pbs2,galena,pueblo,bnb")
 	portfolio := flag.Bool("portfolio", false, "race all engines, keep the first definitive answer")
@@ -108,11 +108,6 @@ func main() {
 	kind, variant, err := service.ParseSBPSpec(*sbpName)
 	if err != nil {
 		fatal(err)
-	}
-	if variant == sbp.VariantInvolution || variant == sbp.VariantRace {
-		// These variants consume detected generators; selecting them is an
-		// unambiguous request for instance-dependent breaking.
-		*instDep = true
 	}
 	eng, err := service.ParseEngine(*engineName)
 	if err != nil {
@@ -175,10 +170,7 @@ func main() {
 			order = s.Order.String()
 		}
 		detail := ""
-		switch s.Variant {
-		case sbp.VariantInvolution:
-			detail = fmt.Sprintf(", %d involutions", s.Involutions)
-		case sbp.VariantCanonSet:
+		if s.Variant == sbp.VariantCanonSet {
 			detail = fmt.Sprintf(", canon set %d", s.CanonSetSize)
 		}
 		fmt.Printf("symmetries: variant=%s, |Aut|=%s, %d generators%s, %d perms broken, detect %v, +%d SBP clauses\n",

@@ -57,12 +57,11 @@ type Config struct {
 	// columns of Tables 3-5).
 	InstanceDependent bool
 	// SBPVariant selects the lex-leader construction the predicate layer
-	// emits: the full detected-generator break (default), the involution
-	// restriction, the precomputed canonizing set of color permutations, or
-	// a race of all three. VariantFull and VariantInvolution only act when
-	// InstanceDependent is set (they consume detected generators);
-	// VariantCanonSet needs no detection and acts whenever selected. Every
-	// variant is a sound partial break, so the knob never changes the
+	// emits: the full detected-generator break (default) or the
+	// precomputed canonizing set of color permutations. VariantFull only
+	// acts when InstanceDependent is set (it consumes detected generators);
+	// VariantCanonSet needs no detection and acts whenever selected. Both
+	// variants are sound partial breaks, so the knob never changes the
 	// answer — only how fast the solver reaches it.
 	SBPVariant sbp.Variant
 	// GraphGens are automorphisms of the instance graph known to the
@@ -117,13 +116,9 @@ type SymmetryStats struct {
 	// Variant is the SBP construction that produced the predicates.
 	Variant sbp.Variant
 	// PredicatePerms counts the permutations whose lex-leader predicates
-	// were actually emitted (after variant filtering, verification, and
-	// empty-support drops) — the per-variant counter /v1/stats and /metrics
-	// aggregate.
+	// were actually emitted (after verification and empty-support drops)
+	// — the per-variant counter /v1/stats and /metrics aggregate.
 	PredicatePerms int
-	// Involutions counts the involutions derived from the generator set
-	// (VariantInvolution only).
-	Involutions int
 	// CanonSetSize is the size of the precomputed canonizing set consulted
 	// for the color bound (VariantCanonSet only; emitted perms can be fewer
 	// when the instance-independent SBP already broke some).
@@ -135,9 +130,6 @@ type Outcome struct {
 	Instance string
 	K        int
 	SBP      encode.SBPKind
-	// SBPVariant is the predicate construction this outcome was solved
-	// under; after a VariantRace it is the concrete variant that won.
-	SBPVariant sbp.Variant
 	// EncodeStats are the formula sizes before instance-dependent SBPs.
 	EncodeStats pb.Stats
 	// Sym is nil unless instance-dependent symmetry breaking ran.
@@ -169,9 +161,6 @@ func (o Outcome) Solved() bool {
 // solve (and symmetry detection) promptly; the outcome then reports the
 // best result reached.
 func Solve(ctx context.Context, g *graph.Graph, cfg Config) Outcome {
-	if cfg.SBPVariant == sbp.VariantRace {
-		return solveVariantRace(ctx, g, cfg)
-	}
 	cfg.K = EffectiveK(g, cfg.K)
 	_, encSpan := obs.StartSpan(ctx, "encode")
 	enc := encode.Build(g, cfg.K, cfg.SBP)
@@ -179,7 +168,6 @@ func Solve(ctx context.Context, g *graph.Graph, cfg Config) Outcome {
 		Instance:    g.Name(),
 		K:           cfg.K,
 		SBP:         cfg.SBP,
-		SBPVariant:  cfg.SBPVariant,
 		EncodeStats: enc.F.Stats(),
 	}
 	encSpan.End(
@@ -258,13 +246,12 @@ func EffectiveK(g *graph.Graph, k int) int {
 }
 
 // breakSymmetries appends the lex-leader predicates the configured SBP
-// variant selects and returns the statistics. VariantFull and
-// VariantInvolution consume detected symmetries of the formula (merged
-// with any caller-supplied graph automorphisms that survive verification);
-// VariantCanonSet skips detection entirely and lifts the precomputed
-// canonizing set of color permutations instead. Returns nil when the
-// variant has no generator source (full/involution without
-// InstanceDependent).
+// variant selects and returns the statistics. VariantFull consumes
+// detected symmetries of the formula (merged with any caller-supplied
+// graph automorphisms that survive verification); VariantCanonSet skips
+// detection entirely and lifts the precomputed canonizing set of color
+// permutations instead. Returns nil when the variant has no generator
+// source (full without InstanceDependent).
 func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *SymmetryStats {
 	var opts sbp.Options
 	if cfg.SBPVariant == sbp.VariantCanonSet {
@@ -313,27 +300,18 @@ func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *Sym
 			}
 		}
 	}
-	sym := &SymmetryStats{
-		Order:      res.Order,
-		Generators: len(perms),
-		Exact:      res.Exact,
-		DetectTime: res.Time,
-		FromGraph:  fromGraph,
-		Variant:    cfg.SBPVariant,
+	st := sbp.AddSBPs(enc.F, perms, opts)
+	return &SymmetryStats{
+		Order:          res.Order,
+		Generators:     len(perms),
+		Exact:          res.Exact,
+		DetectTime:     res.Time,
+		FromGraph:      fromGraph,
+		Variant:        cfg.SBPVariant,
+		PredicatePerms: st.Generators,
+		AddedVars:      st.AddedVars,
+		AddedCNF:       st.Clauses,
 	}
-	emit := perms
-	if cfg.SBPVariant == sbp.VariantInvolution {
-		// Restrict the break to involutions derived from the generators
-		// (order-2 generators, involutive powers, involutive products) —
-		// weaker in general, far more compact on high-order generators.
-		emit = sbp.Involutions(perms, 0, 0)
-		sym.Involutions = len(emit)
-	}
-	st := sbp.AddSBPs(enc.F, emit, opts)
-	sym.PredicatePerms = st.Generators
-	sym.AddedVars = st.AddedVars
-	sym.AddedCNF = st.Clauses
-	return sym
 }
 
 // canonSetLitPerms lifts the canonizing set's color permutations to
@@ -364,46 +342,6 @@ func canonSetLitPerms(enc *encode.Encoding, set [][]int) []symgraph.LitPerm {
 		out = append(out, lp)
 	}
 	return out
-}
-
-// solveVariantRace races the three concrete SBP variants on independent
-// encodings of the instance and keeps the first definitive answer,
-// cancelling the rest — the same first-past-the-post rule as the engine
-// portfolio, one level up. If nobody solves within budget, the best
-// partial outcome (a satisfiable incumbent beats none; lower objective
-// beats higher) is returned.
-func solveVariantRace(ctx context.Context, g *graph.Graph, cfg Config) Outcome {
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Buffered to the racer count: losers finishing after the return have
-	// a slot to exit through, so no goroutine leaks.
-	ch := make(chan Outcome, len(sbp.Variants))
-	for _, v := range sbp.Variants {
-		vcfg := cfg
-		vcfg.SBPVariant = v
-		go func() { ch <- Solve(rctx, g, vcfg) }()
-	}
-	var best Outcome
-	for i := 0; i < len(sbp.Variants); i++ {
-		out := <-ch
-		if out.Solved() {
-			return out
-		}
-		if i == 0 || betterPartial(out, best) {
-			best = out
-		}
-	}
-	return best
-}
-
-// betterPartial orders unsolved outcomes for the race fallback.
-func betterPartial(a, b Outcome) bool {
-	aSat := a.Result.Status == pbsolver.StatusSat
-	bSat := b.Result.Status == pbsolver.StatusSat
-	if aSat != bSat {
-		return aSat
-	}
-	return aSat && a.Result.Objective < b.Result.Objective
 }
 
 // graphAutToLitPerm lifts a vertex automorphism of the instance graph to a

@@ -308,8 +308,9 @@ type JobRequest struct {
 	K   int    `json:"k,omitempty"`
 	SBP string `json:"sbp,omitempty"`
 	// SBPVariant selects the lex-leader construction of the predicate
-	// layer: "full" (default), "involution", "canonset", or "race".
-	// Answer-invariant and excluded from the result-cache key.
+	// layer: "full" (default) or "canonset"; "involution" and "race" are
+	// accepted as aliases of "full". Answer-invariant and excluded from
+	// the result-cache key.
 	SBPVariant        string `json:"sbp_variant,omitempty"`
 	Engine            string `json:"engine,omitempty"`
 	Portfolio         bool   `json:"portfolio,omitempty"`

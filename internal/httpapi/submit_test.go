@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
+	"repro/internal/sbp"
 	"repro/internal/service"
 	"repro/internal/solverutil"
 )
@@ -115,6 +117,33 @@ func TestKnobsReachSolverOverHTTP(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("solver never ran")
+	}
+}
+
+// TestRemovedSBPVariantNamesAliasFull: the names of the removed
+// involution and race variants still parse and reach the solver as the
+// full variant; an unknown name is still a 400 invalid_spec.
+func TestRemovedSBPVariantNamesAliasFull(t *testing.T) {
+	seen := make(chan service.JobSpec, 1)
+	h := stubHandler(t, Config{}, seen)
+	for i, name := range []string{"involution", "inv", "race"} {
+		// Distinct K values keep the submissions from sharing a solve.
+		rec := postJob(h, fmt.Sprintf(`{"n":3,"edges":[[0,1],[1,2]],"k":%d,"instance_dependent":true,"sbp_variant":%q}`, 3+i, name))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		select {
+		case spec := <-seen:
+			if spec.SBPVariant != sbp.VariantFull {
+				t.Errorf("%s: solver saw variant %v, want full", name, spec.SBPVariant)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: solver never ran", name)
+		}
+	}
+	rec := postJob(h, `{"n":3,"edges":[[0,1],[1,2]],"sbp_variant":"bogus"}`)
+	if rec.Code != http.StatusBadRequest || envelopeCode(rec) != CodeInvalidSpec {
+		t.Fatalf("unknown variant: status %d body %s, want 400 %s", rec.Code, rec.Body, CodeInvalidSpec)
 	}
 }
 

@@ -17,7 +17,8 @@ type PortfolioOptions struct {
 	Engines []Engine
 }
 
-// PortfolioResult is the merged outcome of a portfolio run.
+// PortfolioResult is the merged outcome of a portfolio run: the winning
+// engine's result, except that Stats sums the counters of every engine.
 type PortfolioResult struct {
 	Result
 	// Winner is the engine that produced the returned result (meaningful
@@ -87,6 +88,8 @@ func PortfolioSolve(ctx context.Context, f *pb.Formula, opts PortfolioOptions) P
 			results <- tagged{i, res}
 		}(i, eng)
 	}
+	// Summed apart from out: adopting a better result overwrites out.Stats.
+	var total Stats
 	winner := -1
 	for range engines {
 		t := <-results
@@ -105,8 +108,10 @@ func PortfolioSolve(ctx context.Context, f *pb.Formula, opts PortfolioOptions) P
 			out.Result = t.res
 			winner = t.idx
 		}
-		out.Stats.add(t.res.Stats)
+		total.add(t.res.Stats)
+		total.SolverCalls += t.res.Stats.SolverCalls
 	}
+	out.Stats = total
 	if winner >= 0 {
 		out.Winner = engines[winner]
 	}

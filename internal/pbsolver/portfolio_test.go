@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/encode"
+	"repro/internal/graph"
 )
 
 func TestPortfolioMatchesSingleEngine(t *testing.T) {
@@ -153,5 +156,37 @@ func TestPortfolioHungEngineCancelledOnDefinitiveAnswer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("hung engine not cancelled: took %v", elapsed)
+	}
+}
+
+// TestPortfolioStatsSumEngines: the merged Stats count every engine's
+// search exactly once — the winner included — so they equal the sum of
+// PerEngine on the coloring encodings the service solves.
+func TestPortfolioStatsSumEngines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		k    int
+		kind encode.SBPKind
+	}{
+		{"myciel3", 6, encode.SBPNUSC},
+		{"myciel4", 8, encode.SBPNUSC},
+		{"queen5_5", 8, encode.SBPNU},
+	} {
+		g, err := graph.Benchmark(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := PortfolioSolve(context.Background(), encode.Build(g, tc.k, tc.kind).F, PortfolioOptions{})
+		if res.Status != StatusOptimal {
+			t.Fatalf("%s: status %v, want OPTIMAL", tc.name, res.Status)
+		}
+		var want Stats
+		for _, r := range res.PerEngine {
+			want.add(r.Stats)
+			want.SolverCalls += r.Stats.SolverCalls
+		}
+		if res.Stats != want {
+			t.Errorf("%s: portfolio Stats %+v, sum over engines %+v", tc.name, res.Stats, want)
+		}
 	}
 }

@@ -18,15 +18,19 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
 	"repro/internal/sbp"
+	"repro/internal/service"
 	"repro/internal/symgraph"
 	"repro/internal/testutil"
 )
 
-// allVariants includes the race on top of the three concrete
-// constructions; every entry must produce identical answers.
-var allVariants = []sbp.Variant{
-	sbp.VariantFull, sbp.VariantInvolution, sbp.VariantCanonSet, sbp.VariantRace,
-}
+// allVariants are the two constructions; both must produce identical
+// answers.
+var allVariants = []sbp.Variant{sbp.VariantFull, sbp.VariantCanonSet}
+
+// variantNames are the wire names the service accepts for the variant
+// knob: the two constructions plus the legacy names of the removed
+// involution and race variants, which resolve to full.
+var variantNames = []string{"full", "canonset", "involution", "race"}
 
 // oracleFamilies are the instances the chromatic-preservation property is
 // checked on: seeded G(n,p) graphs plus the transitive families whose
@@ -74,16 +78,21 @@ func solveVariant(t *testing.T, g *graph.Graph, k int, v sbp.Variant, kind encod
 }
 
 // TestVariantsPreserveChromaticNumber is the oracle property: under every
-// variant (and the race), on every family member and its relabeled twin,
-// the solver must prove exactly the brute-force chromatic number. A
+// variant name the service accepts (legacy aliases included, resolved as
+// a request's sbp_variant is), on every family member and its relabeled
+// twin, the solver must prove exactly the brute-force chromatic number. A
 // variant that cut a whole orbit of colorings would surface here as a
 // wrong optimum or a bogus UNSAT.
 func TestVariantsPreserveChromaticNumber(t *testing.T) {
 	for _, g := range oracleFamilies() {
 		chi := testutil.BruteForceChromatic(g)
 		for _, twin := range []*graph.Graph{g, relabel(g, rotation(g.N()))} {
-			for _, v := range allVariants {
-				t.Run(fmt.Sprintf("%s/%s", twin.Name(), v), func(t *testing.T) {
+			for _, name := range variantNames {
+				t.Run(fmt.Sprintf("%s/%s", twin.Name(), name), func(t *testing.T) {
+					v, err := service.ParseSBPVariant(name)
+					if err != nil {
+						t.Fatalf("ParseSBPVariant(%q): %v", name, err)
+					}
 					out := solveVariant(t, twin, chi+2, v, encode.SBPNone)
 					if out.Result.Status != pbsolver.StatusOptimal {
 						t.Fatalf("status = %v, want optimal", out.Result.Status)
@@ -138,7 +147,7 @@ func TestVariantsAgreeWithInstanceIndependentSBPs(t *testing.T) {
 	g := graph.Petersen()
 	const chi = 3
 	for _, kind := range []encode.SBPKind{encode.SBPNone, encode.SBPNU, encode.SBPNUSC} {
-		for _, v := range []sbp.Variant{sbp.VariantInvolution, sbp.VariantCanonSet} {
+		for _, v := range allVariants {
 			t.Run(fmt.Sprintf("%v/%s", kind, v), func(t *testing.T) {
 				out := solveVariant(t, g, chi+2, v, kind)
 				if out.Result.Status != pbsolver.StatusOptimal || out.Chi != chi {
@@ -269,52 +278,6 @@ func TestCanonSetKeepsOrbitRepresentatives(t *testing.T) {
 	}
 }
 
-// TestInvolutionDerivation covers the involution machinery directly:
-// recognition, derivation of involutive powers, deduplication, and the
-// cap.
-func TestInvolutionDerivation(t *testing.T) {
-	// swap is the transposition of variables 1 and 2 over 4 variables.
-	swap := symgraph.NewIdentityPerm(4)
-	swap.Img[1], swap.Img[2] = cnf.PosLit(2), cnf.PosLit(1)
-	if !sbp.IsInvolution(swap) {
-		t.Fatalf("transposition not recognized as involution")
-	}
-	if sbp.IsInvolution(symgraph.NewIdentityPerm(4)) {
-		t.Fatalf("identity recognized as involution")
-	}
-	// cycle4 is the 4-cycle (1 2 3 4); its square (1 3)(2 4) is the only
-	// involution in its cyclic group.
-	cycle4 := symgraph.NewIdentityPerm(4)
-	for v := 1; v <= 4; v++ {
-		img := v + 1
-		if img > 4 {
-			img = 1
-		}
-		cycle4.Img[v] = cnf.PosLit(img)
-	}
-	if sbp.IsInvolution(cycle4) {
-		t.Fatalf("4-cycle recognized as involution")
-	}
-	invs := sbp.Involutions([]symgraph.LitPerm{cycle4}, 0, 0)
-	if len(invs) != 1 {
-		t.Fatalf("Involutions(4-cycle) = %d perms, want 1 (the square)", len(invs))
-	}
-	sq := sbp.Compose(cycle4, cycle4)
-	for v := 1; v <= 4; v++ {
-		if invs[0].Img[v] != sq.Img[v] {
-			t.Fatalf("derived involution is not the square: %v vs %v", invs[0].Img, sq.Img)
-		}
-	}
-	// Duplicated generators must not duplicate derived involutions, and
-	// the cap must bound the result.
-	if got := sbp.Involutions([]symgraph.LitPerm{swap, swap, cycle4}, 0, 0); len(got) != 2 {
-		t.Fatalf("dedup failed: %d involutions, want 2", len(got))
-	}
-	if got := sbp.Involutions([]symgraph.LitPerm{swap, cycle4}, 0, 1); len(got) != 1 {
-		t.Fatalf("cap ignored: %d involutions, want 1", len(got))
-	}
-}
-
 // TestCanonSetData pins the embedded canonizing-set data: every committed
 // band decodes and validates, generation is deterministic (the CI
 // staleness gate depends on it), and color bounds outside the data fall
@@ -371,7 +334,7 @@ func TestCanonSetData(t *testing.T) {
 }
 
 // TestVariantsAgreeOnBenchmarks is the acceptance check behind
-// `gcolor -sbp involution|canonset`: on the example instances every
+// `gcolor -sbp canonset`: on the example instances the canonizing-set
 // variant must report the chromatic number VariantFull proves.
 func TestVariantsAgreeOnBenchmarks(t *testing.T) {
 	if testing.Short() {
@@ -386,12 +349,10 @@ func TestVariantsAgreeOnBenchmarks(t *testing.T) {
 		if ref.Result.Status != pbsolver.StatusOptimal {
 			t.Fatalf("%s: full variant status = %v", name, ref.Result.Status)
 		}
-		for _, v := range []sbp.Variant{sbp.VariantInvolution, sbp.VariantCanonSet, sbp.VariantRace} {
-			out := solveVariant(t, g, 8, v, encode.SBPNone)
-			if out.Result.Status != pbsolver.StatusOptimal || out.Chi != ref.Chi {
-				t.Fatalf("%s/%s: status = %v chi = %d, full proved %d",
-					name, v, out.Result.Status, out.Chi, ref.Chi)
-			}
+		out := solveVariant(t, g, 8, sbp.VariantCanonSet, encode.SBPNone)
+		if out.Result.Status != pbsolver.StatusOptimal || out.Chi != ref.Chi {
+			t.Fatalf("%s/canonset: status = %v chi = %d, full proved %d",
+				name, out.Result.Status, out.Chi, ref.Chi)
 		}
 	}
 }

@@ -30,17 +30,16 @@ func ParseSBP(name string) (encode.SBPKind, error) {
 }
 
 // ParseSBPVariant maps a user-facing SBP-variant name to its enum value:
-// "full" (or empty), "involution", "canonset", "race".
+// "full" (or empty) or "canonset". The names of the removed involution
+// and race variants ("involution", "inv", "race") stay accepted as
+// aliases of "full", so requests that name them keep working; the
+// variant never changes an answer.
 func ParseSBPVariant(name string) (sbp.Variant, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "full":
+	case "", "full", "involution", "inv", "race":
 		return sbp.VariantFull, nil
-	case "involution", "inv":
-		return sbp.VariantInvolution, nil
 	case "canonset", "canon":
 		return sbp.VariantCanonSet, nil
-	case "race":
-		return sbp.VariantRace, nil
 	}
 	return 0, fmt.Errorf("unknown SBP variant %q", name)
 }
@@ -48,7 +47,7 @@ func ParseSBPVariant(name string) (sbp.Variant, error) {
 // ParseSBPSpec parses the gcolor -sbp flag's combined syntax: a
 // comma-separated list mixing at most one instance-independent
 // construction name (ParseSBP) with at most one variant name
-// (ParseSBPVariant), in any order. A bare variant ("involution") keeps
+// (ParseSBPVariant), in any order. A bare variant ("canonset") keeps
 // SBPNone; a bare kind ("NU") keeps VariantFull; "NU,canonset" sets both.
 func ParseSBPSpec(s string) (encode.SBPKind, sbp.Variant, error) {
 	kind, variant := encode.SBPNone, sbp.VariantFull

@@ -88,12 +88,11 @@ type JobSpec struct {
 	// InstanceDependent adds lex-leader SBPs for detected symmetries.
 	InstanceDependent bool `json:"instance_dependent"`
 	// SBPVariant selects the lex-leader construction of the predicate
-	// layer: full detected-generator break (default), involution-restricted
-	// break, precomputed canonizing set, or a race of all three (see
-	// sbp.Variant). Every variant is a sound partial break of the same
-	// group — the knob changes solve speed, never the answer — so it is
-	// excluded from the cache key and differently configured submissions
-	// share results.
+	// layer: full detected-generator break (default) or precomputed
+	// canonizing set (see sbp.Variant). Both are sound partial breaks of
+	// the same group — the knob changes solve speed, never the answer — so
+	// it is excluded from the cache key and differently configured
+	// submissions share results.
 	SBPVariant sbp.Variant `json:"sbp_variant,omitempty"`
 	// Timeout bounds this job's solve; 0 = the service default.
 	Timeout time.Duration `json:"timeout"`
@@ -161,9 +160,8 @@ type Result struct {
 	// Winner is the engine that produced the result (portfolio runs).
 	Winner string `json:"winner,omitempty"`
 	// SBPVariant is the symmetry-breaking construction the solve emitted
-	// predicates under ("full", "involution", "canonset"); after a variant
-	// race it names the winner. Empty when no predicate layer ran or the
-	// result came from the cache.
+	// predicates under ("full" or "canonset"). Empty when no predicate
+	// layer ran or the result came from the cache.
 	SBPVariant string `json:"sbp_variant,omitempty"`
 	// Runtime is the solver wall-clock time (the original solve's, for
 	// cache hits).
@@ -223,9 +221,7 @@ type Stats struct {
 	// SBPVariants aggregates predicate emission per SBP variant across all
 	// solver runs whose symmetry-breaking layer ran: run count, lex-leader
 	// permutations emitted, and CNF clauses added. Keyed by variant wire
-	// name ("full", "involution", "canonset"); a variant race contributes
-	// one row per finished racer through the winning outcome only (losers
-	// are cancelled mid-flight and report nothing).
+	// name ("full" or "canonset").
 	SBPVariants map[string]SBPVariantStats `json:"sbp_variants,omitempty"`
 	// CanonGenerators / CanonOrbitPrunes / CanonPrefixPrunes report the
 	// automorphism discovery fused into the canonical labeling search:
@@ -649,12 +645,18 @@ func (s *Service) replayJob(e JournalEntry) {
 			}
 		}
 	}
+	spec := e.Spec
+	if spec.SBPVariant != sbp.VariantCanonSet {
+		// Older journals may hold the removed involution (1) and race (3)
+		// variants; both run as full, the variant their names now alias.
+		spec.SBPVariant = sbp.VariantFull
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		id:         e.ID,
 		tenant:     tenant,
 		g:          e.Graph(),
-		spec:       e.Spec,
+		spec:       spec,
 		ctx:        ctx,
 		cancel:     cancel,
 		seq:        seq,
@@ -1585,7 +1587,7 @@ func resultFromOutcome(out core.Outcome, spec JobSpec, canonExact bool) *Result 
 		CanonExact:       canonExact,
 	}
 	if out.Sym != nil {
-		res.SBPVariant = out.SBPVariant.String()
+		res.SBPVariant = out.Sym.Variant.String()
 	}
 	if out.Par != nil {
 		res.ParWorkers = out.Par.Workers

@@ -79,7 +79,7 @@ func (s JobSpec) Validate() error {
 	if s.Engine < pbsolver.EnginePBS || s.Engine > pbsolver.EngineBnB {
 		add("engine", "unknown engine %d", s.Engine)
 	}
-	if s.SBPVariant < sbp.VariantFull || s.SBPVariant > sbp.VariantRace {
+	if s.SBPVariant != sbp.VariantFull && s.SBPVariant != sbp.VariantCanonSet {
 		add("sbp_variant", "unknown SBP variant %d", s.SBPVariant)
 	}
 	if s.Timeout < 0 || s.Timeout > MaxTimeout {

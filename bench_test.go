@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/autom"
+	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/experiments"
@@ -445,6 +446,45 @@ func BenchmarkSymmetryDetection(b *testing.B) {
 		if sym.Generators == 0 {
 			b.Fatal("no generators found")
 		}
+	}
+}
+
+// BenchmarkVerifyLitPerm times one symmetry check of a formula, the way
+// core lifts the canonical search's graph automorphisms: each op verifies
+// the next lifted generator x(v,j) -> x(π(v),j) against the K=20
+// encoding under SBP none, where every lift is a symmetry. VerifyLitPerm
+// indexes the formula afresh on every call, so an op also pays the
+// index build that Detect and core pay once per formula.
+func BenchmarkVerifyLitPerm(b *testing.B) {
+	for _, name := range []string{"queen5_5", "jean", "anna"} {
+		b.Run(name, func(b *testing.B) {
+			g, _ := graph.Benchmark(name)
+			enc := encode.Build(g, 20, encode.SBPNone)
+			a := autom.NewGraph(g.N())
+			for _, e := range g.Edges() {
+				a.AddEdge(e[0], e[1])
+			}
+			var lifts []symgraph.LitPerm
+			for _, gp := range autom.CanonicalForm(a, autom.CanonicalOptions{}).Generators {
+				lp := symgraph.NewIdentityPerm(enc.F.NumVars)
+				for v := 0; v < g.N(); v++ {
+					for j := 0; j < enc.K; j++ {
+						lp.Img[enc.X(v, j)] = cnf.PosLit(enc.X(gp[v], j))
+					}
+				}
+				lifts = append(lifts, lp)
+			}
+			if len(lifts) == 0 {
+				b.Fatal("no canonical-search generators")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !symgraph.VerifyLitPerm(enc.F, lifts[i%len(lifts)]) {
+					b.Fatal("lifted automorphism rejected")
+				}
+			}
+		})
 	}
 }
 

@@ -65,7 +65,7 @@ type Canonical struct {
 
 type canonizer struct {
 	g        *Graph
-	cnt      []int
+	rf       *refiner
 	maxNodes int64
 	nodes    int64
 	tick     int64
@@ -114,7 +114,7 @@ func CanonicalForm(g *Graph, opts CanonicalOptions) *Canonical {
 	}
 	c := &canonizer{
 		g:        g,
-		cnt:      make([]int, n),
+		rf:       newRefiner(n),
 		maxNodes: opts.MaxNodes,
 		ctx:      opts.Context,
 		disable:  opts.DisablePruning,
@@ -128,7 +128,7 @@ func CanonicalForm(g *Graph, opts CanonicalOptions) *Canonical {
 	for i := 0; i < n; i += p.clen[i] {
 		work = append(work, i)
 	}
-	refineRecord(g, p, work, c.cnt, c.pollCancel)
+	refineRecord(g, p, work, c.rf, nil, c.pollCancel)
 	c.explore(p, 0, 0)
 	if c.bestLab == nil {
 		// The context died before the first leaf completed: fall back to
@@ -210,7 +210,7 @@ func (c *canonizer) explore(p *partition, fixed, cmp int) {
 		cp := p.copy()
 		cp.individualize(u)
 		c.nodes++
-		refineRecord(c.g, cp, []int{t, t + 1}, c.cnt, c.pollCancel)
+		refineRecord(c.g, cp, []int{t, t + 1}, c.rf, nil, c.pollCancel)
 		if c.aborted {
 			return
 		}

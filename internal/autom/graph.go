@@ -9,6 +9,7 @@ package autom
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 )
 
@@ -60,9 +61,8 @@ func (g *Graph) freeze() {
 		return
 	}
 	g.frozen = true
-	for v := range g.adj {
-		a := g.adj[v]
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+	for _, a := range g.adj {
+		slices.Sort(a)
 	}
 }
 

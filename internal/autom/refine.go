@@ -1,6 +1,9 @@
 package autom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // partition is an ordered partition of vertices into consecutive cells of
 // the elems array. The left (canonical-path) partition and the deviation
@@ -28,7 +31,7 @@ func newPartition(colors []int) *partition {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool { return colors[order[i]] < colors[order[j]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(colors[a], colors[b]) })
 	copy(p.elems, order)
 	for i, v := range p.elems {
 		p.pos[v] = i
@@ -109,112 +112,137 @@ type splitPart struct {
 	size int
 }
 
-// splitOp records the outcome of refining the cells touched by one
-// splitter: for each touched cell (by start position, ascending) the
-// ordered (degree, size) groups.
-type splitOp struct {
-	splitter int
-	cells    []cellSplit
-}
-
-type cellSplit struct {
-	start int
+// trace is the refinement transcript of the left path at one level: for
+// each splitter, the cells it touched (by start position, ascending) and
+// each cell's ordered (degree, size) groups, stored flat. The cells of
+// ops[i] are cells[ops[i-1].end:ops[i].end] (from 0 for i = 0), and the
+// groups of cells[j] likewise run to cells[j].end in parts.
+type trace struct {
+	ops   []splitOp
+	cells []cellSplit
 	parts []splitPart
 }
 
-// trace is the refinement transcript of the left path at one level.
-type trace struct {
-	ops []splitOp
+type splitOp struct{ splitter, end int }
+
+// cellSplit is one touched cell: its start and size before the split.
+type cellSplit struct{ start, size, end int }
+
+// refiner holds refinement's buffers, sized to the graph and reused by
+// every refinement of one search.
+type refiner struct {
+	cnt   []int       // per vertex: neighbours in the current splitter; zero between splitters
+	seen  []bool      // per position: the cell starting there is in cells
+	cells []int       // starts of the cells the current splitter touches
+	rest  []int       // members with a nonzero count of the cell being split
+	parts []splitPart // groups of the cell just split
+}
+
+func newRefiner(n int) *refiner {
+	return &refiner{cnt: make([]int, n), seen: make([]bool, n)}
 }
 
 // refineRecord runs equitable refinement to fixpoint starting from the
-// given worklist of cell starts, recording the transcript. cnt is a zeroed
-// scratch buffer of length g.n; it is returned zeroed. stop, when non-nil,
-// is polled once per worklist iteration so a cancelled search aborts
-// mid-refinement instead of waiting for the fixpoint; on stop the
-// transcript is truncated and the caller must discard the partition.
-func refineRecord(g *Graph, p *partition, work []int, cnt []int, stop func() bool) *trace {
-	tr := &trace{}
-	touchedList := make([]int, 0, 64)
+// given worklist of cell starts, recording the transcript into tr unless
+// tr is nil. stop, when non-nil, is polled once per worklist iteration so
+// a cancelled search aborts mid-refinement instead of waiting for the
+// fixpoint; on stop the transcript is truncated and the caller must
+// discard the partition.
+func refineRecord(g *Graph, p *partition, work []int, rf *refiner, tr *trace, stop func() bool) {
+	cnt := rf.cnt
 	for len(work) > 0 {
 		if stop != nil && stop() {
-			return tr
+			return
 		}
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
-		// Stale worklist entry: s may no longer be a cell start after other
-		// splits; it always is, because splits keep sub-cell starts at or
-		// after the original start and we only push starts. Guard anyway.
+		// Splits keep sub-cell starts at or after the original start and
+		// only starts are pushed, so s is always a cell start. Guard anyway.
 		if p.cbeg[s] != s {
 			continue
 		}
-		op := splitOp{splitter: s}
-		touchedList = touchedList[:0]
+		rf.cells = rf.cells[:0]
 		send := s + p.clen[s]
 		for i := s; i < send; i++ {
-			v := p.elems[i]
-			for _, w := range g.adj[v] {
+			for _, w := range g.adj[p.elems[i]] {
 				if cnt[w] == 0 {
-					cs := p.cbeg[p.pos[int(w)]]
-					if p.clen[cs] >= 1 {
-						touchedList = append(touchedList, cs)
+					if cs := p.cbeg[p.pos[w]]; !rf.seen[cs] {
+						rf.seen[cs] = true
+						rf.cells = append(rf.cells, cs)
 					}
 				}
 				cnt[w]++
 			}
 		}
-		// Dedup touched cell starts (recompute: starts may repeat).
-		sort.Ints(touchedList)
-		touched := touchedList[:0]
-		for i, cs := range touchedList {
-			if i == 0 || cs != touched[len(touched)-1] {
-				touched = append(touched, cs)
+		// Split the touched cells in ascending order of start. Splitting
+		// one cell moves no boundary of another, so every start stays valid.
+		slices.Sort(rf.cells)
+		for _, cs := range rf.cells {
+			rf.seen[cs] = false
+			size := p.clen[cs]
+			rf.parts = rf.splitCell(p, cs, rf.parts[:0])
+			if tr != nil {
+				tr.parts = append(tr.parts, rf.parts...)
+				tr.cells = append(tr.cells, cellSplit{start: cs, size: size, end: len(tr.parts)})
+			}
+			if len(rf.parts) > 1 {
+				ns := cs
+				for _, pt := range rf.parts {
+					work = append(work, ns)
+					ns += pt.size
+				}
 			}
 		}
-		for _, cs := range touched {
-			if p.cbeg[cs] != cs {
-				// The cell was split earlier in this op's loop; its members'
-				// counts were computed against the same splitter, so refine
-				// each sub-cell that originated from it. Simplest correct
-				// handling: skip; sub-cells are re-touched because their
-				// members still have nonzero counts only if they were in
-				// touchedList, which recorded the pre-split start. Recompute
-				// the current start of each member instead.
-				continue
-			}
-			split, parts := splitCellByCount(p, cs, cnt)
-			op.cells = append(op.cells, cellSplit{start: cs, parts: parts})
-			for _, ns := range split {
-				work = append(work, ns)
-			}
+		rf.resetCounts(g, p, s, send)
+		if tr != nil {
+			tr.ops = append(tr.ops, splitOp{splitter: s, end: len(tr.cells)})
 		}
-		// Reset counters.
-		for i := s; i < send; i++ {
-			v := p.elems[i]
-			for _, w := range g.adj[v] {
-				cnt[w] = 0
-			}
-		}
-		tr.ops = append(tr.ops, op)
 	}
-	return tr
 }
 
-// splitCellByCount reorders the cell starting at cs by ascending count and
-// installs sub-cell boundaries. It returns the new sub-cell starts (all of
-// them, including the first) and the ordered (deg,size) groups.
-func splitCellByCount(p *partition, cs int, cnt []int) (newStarts []int, parts []splitPart) {
+// resetCounts zeroes the counts the splitter at positions [s, send) set.
+func (rf *refiner) resetCounts(g *Graph, p *partition, s, send int) {
+	for i := s; i < send; i++ {
+		for _, w := range g.adj[p.elems[i]] {
+			rf.cnt[w] = 0
+		}
+	}
+}
+
+// splitCell reorders the cell starting at cs stably by ascending count,
+// installs the sub-cell boundaries and appends the ordered (count, size)
+// groups to parts. A cell whose members share one count stays as it is.
+// Otherwise the zero-count members, which a stable sort puts first in
+// their current order, are compacted in place, and only the rest is
+// sorted.
+func (rf *refiner) splitCell(p *partition, cs int, parts []splitPart) []splitPart {
+	cnt := rf.cnt
 	l := p.clen[cs]
 	members := p.elems[cs : cs+l]
-	sort.SliceStable(members, func(i, j int) bool { return cnt[members[i]] < cnt[members[j]] })
-	// Uniform count: no split, but still record the group for alignment.
-	uniform := cnt[members[0]] == cnt[members[l-1]]
-	if uniform {
-		for i, v := range members {
-			p.pos[v] = cs + i
+	c0 := cnt[members[0]]
+	uniform := true
+	for _, v := range members[1:] {
+		if cnt[v] != c0 {
+			uniform = false
+			break
 		}
-		return nil, []splitPart{{deg: cnt[members[0]], size: l}}
 	}
+	if uniform {
+		return append(parts, splitPart{deg: c0, size: l})
+	}
+	z := 0
+	rest := rf.rest[:0]
+	for _, v := range members {
+		if cnt[v] == 0 {
+			members[z] = v
+			z++
+		} else {
+			rest = append(rest, v)
+		}
+	}
+	slices.SortStableFunc(rest, func(a, b int) int { return cmp.Compare(cnt[a], cnt[b]) })
+	copy(members[z:], rest)
+	rf.rest = rest
 	start := cs
 	for i := 0; i <= l; i++ {
 		if i == l || (i > 0 && cnt[members[i]] != cnt[members[i-1]]) {
@@ -224,24 +252,24 @@ func splitCellByCount(p *partition, cs int, cnt []int) (newStarts []int, parts [
 			for j := start; j < cs+i; j++ {
 				p.cbeg[j] = start
 			}
-			newStarts = append(newStarts, start)
 			start = cs + i
 		}
 	}
 	for i, v := range members {
 		p.pos[v] = cs + i
 	}
-	return newStarts, parts
+	return parts
 }
 
 // refineReplay replays a recorded transcript on a deviation partition,
 // verifying that every split matches the left side structurally. Returns
-// false on mismatch (no automorphism can extend this branch). cnt is a
-// zeroed scratch buffer of length g.n; it is returned zeroed. stop, when
+// false on mismatch (no automorphism can extend this branch). stop, when
 // non-nil, is polled once per op so cancellation is observed inside long
 // replays; a stopped replay reports a mismatch, which is always sound
 // (the branch is merely not pursued).
-func refineReplay(g *Graph, p *partition, tr *trace, cnt []int, stop func() bool) bool {
+func refineReplay(g *Graph, p *partition, tr *trace, rf *refiner, stop func() bool) bool {
+	cnt := rf.cnt
+	cellFrom, partFrom := 0, 0
 	for _, op := range tr.ops {
 		if stop != nil && stop() {
 			return false
@@ -252,24 +280,24 @@ func refineReplay(g *Graph, p *partition, tr *trace, cnt []int, stop func() bool
 		}
 		send := s + p.clen[s]
 		for i := s; i < send; i++ {
-			v := p.elems[i]
-			for _, w := range g.adj[v] {
+			for _, w := range g.adj[p.elems[i]] {
 				cnt[w]++
 			}
 		}
+		cells := tr.cells[cellFrom:op.end]
+		cellFrom = op.end
 		ok := true
 		// The touched cells must be exactly those recorded, with identical
 		// group structure.
-		seen := map[int]bool{}
-		for _, cspl := range op.cells {
-			cs := cspl.start
-			seen[cs] = true
-			if p.cbeg[cs] != cs {
+		for _, c := range cells {
+			recorded := tr.parts[partFrom:c.end]
+			partFrom = c.end
+			if p.cbeg[c.start] != c.start {
 				ok = false
 				break
 			}
-			_, parts := splitCellByCount(p, cs, cnt)
-			if !partsEqual(parts, cspl.parts) {
+			rf.parts = rf.splitCell(p, c.start, rf.parts[:0])
+			if !slices.Equal(rf.parts, recorded) {
 				ok = false
 				break
 			}
@@ -277,28 +305,18 @@ func refineReplay(g *Graph, p *partition, tr *trace, cnt []int, stop func() bool
 		if ok {
 			// Any touched cell not in the recorded set is a mismatch.
 			for i := s; i < send && ok; i++ {
-				v := p.elems[i]
-				for _, w := range g.adj[v] {
-					cs := p.cbeg[p.pos[int(w)]]
+				for _, w := range g.adj[p.elems[i]] {
 					// After splitting, members moved into sub-cells whose
-					// origin was recorded. Walk up: the recorded start is
-					// the original cell start which is <= cs; approximate
-					// check: the member must have nonzero count only if its
-					// original cell was recorded. Verify via count > 0 and
-					// membership in any recorded range.
-					if cnt[w] > 0 && !startCovered(op.cells, cs) {
+					// origin was recorded: a neighbour's cell must lie
+					// inside one of the recorded ranges.
+					if cnt[w] > 0 && !startCovered(cells, p.cbeg[p.pos[w]]) {
 						ok = false
 						break
 					}
 				}
 			}
 		}
-		for i := s; i < send; i++ {
-			v := p.elems[i]
-			for _, w := range g.adj[v] {
-				cnt[w] = 0
-			}
-		}
+		rf.resetCounts(g, p, s, send)
 		if !ok {
 			return false
 		}
@@ -307,28 +325,12 @@ func refineReplay(g *Graph, p *partition, tr *trace, cnt []int, stop func() bool
 }
 
 // startCovered reports whether position cs falls inside any recorded cell
-// range [start, start+Σsizes).
+// range [start, start+size).
 func startCovered(cells []cellSplit, cs int) bool {
 	for _, c := range cells {
-		total := 0
-		for _, p := range c.parts {
-			total += p.size
-		}
-		if cs >= c.start && cs < c.start+total {
+		if cs >= c.start && cs < c.start+c.size {
 			return true
 		}
 	}
 	return false
-}
-
-func partsEqual(a, b []splitPart) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

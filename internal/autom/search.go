@@ -57,7 +57,7 @@ type searcher struct {
 	maxNodes int64
 	tick     int64
 	aborted  bool
-	cnt      []int // shared scratch for refinement
+	rf       *refiner // shared refinement buffers
 	deadline time.Time
 	ctx      context.Context
 }
@@ -79,7 +79,7 @@ func FindAutomorphisms(g *Graph, opts Options) *Result {
 		opts:     opts,
 		uf:       newUnionFind(n),
 		maxNodes: opts.MaxNodes,
-		cnt:      make([]int, n),
+		rf:       newRefiner(n),
 		deadline: opts.Deadline,
 		ctx:      opts.Context,
 	}
@@ -94,7 +94,7 @@ func FindAutomorphisms(g *Graph, opts Options) *Result {
 	for i := 0; i < n; i += p.clen[i] {
 		work = append(work, i)
 	}
-	refineRecord(g, p, work, s.cnt, s.pollCancel)
+	refineRecord(g, p, work, s.rf, nil, s.pollCancel)
 	for {
 		t := p.firstNonSingleton()
 		if t < 0 || s.budgetExceeded() {
@@ -104,7 +104,8 @@ func FindAutomorphisms(g *Graph, opts Options) *Result {
 		b := p.elems[t]
 		p.individualize(b)
 		s.nodes++
-		tr := refineRecord(g, p, []int{t, t + 1}, s.cnt, s.pollCancel)
+		tr := &trace{}
+		refineRecord(g, p, []int{t, t + 1}, s.rf, tr, s.pollCancel)
 		s.levels = append(s.levels, level{snapshot: snap, target: t, base: b, tr: tr})
 	}
 	s.leafLeft = append([]int(nil), p.elems...)
@@ -128,7 +129,7 @@ func FindAutomorphisms(g *Graph, opts Options) *Result {
 			cp := lvl.snapshot.copy()
 			cp.individualize(u)
 			s.nodes++
-			if refineReplay(g, cp, lvl.tr, s.cnt, s.pollCancel) {
+			if refineReplay(g, cp, lvl.tr, s.rf, s.pollCancel) {
 				s.dfs(cp, L+1)
 			}
 		}
@@ -226,7 +227,7 @@ func (s *searcher) dfs(cp *partition, lvl int) bool {
 		cp2 := cp.copy()
 		cp2.individualize(u)
 		s.nodes++
-		if !refineReplay(s.g, cp2, s.levels[lvl].tr, s.cnt, s.pollCancel) {
+		if !refineReplay(s.g, cp2, s.levels[lvl].tr, s.rf, s.pollCancel) {
 			continue
 		}
 		if s.dfs(cp2, lvl+1) {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
 	"repro/internal/autom"
@@ -259,7 +260,7 @@ func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *Sym
 		// run, no group order to report (Order stays nil). Lifts broken by
 		// the instance-independent SBP fail verification and drop out.
 		set := sbp.CanonSet(enc.K)
-		perms := canonSetLitPerms(enc, set)
+		perms := canonSetLitPerms(enc, symgraph.NewVerifier(enc.F), set)
 		st := sbp.AddSBPs(enc.F, perms, opts)
 		return &SymmetryStats{
 			Generators:     len(perms),
@@ -277,27 +278,22 @@ func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *Sym
 	if cfg.SymTimeout > 0 {
 		aOpts.Deadline = time.Now().Add(cfg.SymTimeout)
 	}
-	perms, res := symgraph.Detect(enc.F, aOpts)
+	// One index of the formula serves detection and the lift below.
+	ver := symgraph.NewVerifier(enc.F)
+	perms, res := ver.Detect(aOpts)
 	fromGraph := 0
-	if len(cfg.GraphGens) > 0 {
-		seen := make(map[string]bool, len(perms))
-		for _, p := range perms {
-			seen[litPermKey(p)] = true
+	for _, gp := range cfg.GraphGens {
+		lp, ok := graphAutToLitPerm(enc, gp)
+		if !ok || lp.IsIdentity() || !ver.Verify(lp) {
+			// Verification rejects exactly the generators the
+			// instance-independent SBP already broke (and any bogus
+			// input); keeping only verified lifts is what makes this
+			// source safe to combine with every SBPKind.
+			continue
 		}
-		for _, gp := range cfg.GraphGens {
-			lp, ok := graphAutToLitPerm(enc, gp)
-			if !ok || lp.IsIdentity() || !symgraph.VerifyLitPerm(enc.F, lp) {
-				// Verification rejects exactly the generators the
-				// instance-independent SBP already broke (and any bogus
-				// input); keeping only verified lifts is what makes this
-				// source safe to combine with every SBPKind.
-				continue
-			}
-			if k := litPermKey(lp); !seen[k] {
-				seen[k] = true
-				perms = append(perms, lp)
-				fromGraph++
-			}
+		if !slices.ContainsFunc(perms, func(p symgraph.LitPerm) bool { return slices.Equal(p.Img, lp.Img) }) {
+			perms = append(perms, lp)
+			fromGraph++
 		}
 	}
 	st := sbp.AddSBPs(enc.F, perms, opts)
@@ -321,7 +317,7 @@ func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *Sym
 // constructions that order colors (NU, CA, LI) break some or all color
 // permutations; those fail verification and contribute nothing, which is
 // what keeps the variant sound under every SBPKind.
-func canonSetLitPerms(enc *encode.Encoding, set [][]int) []symgraph.LitPerm {
+func canonSetLitPerms(enc *encode.Encoding, ver *symgraph.Verifier, set [][]int) []symgraph.LitPerm {
 	var out []symgraph.LitPerm
 	for _, cp := range set {
 		if len(cp) != enc.K {
@@ -336,7 +332,7 @@ func canonSetLitPerms(enc *encode.Encoding, set [][]int) []symgraph.LitPerm {
 		for j := 0; j < enc.K; j++ {
 			lp.Img[enc.Y(j)] = cnf.PosLit(enc.Y(cp[j]))
 		}
-		if lp.IsIdentity() || !symgraph.VerifyLitPerm(enc.F, lp) {
+		if lp.IsIdentity() || !ver.Verify(lp) {
 			continue
 		}
 		out = append(out, lp)
@@ -362,11 +358,6 @@ func graphAutToLitPerm(enc *encode.Encoding, perm autom.Perm) (symgraph.LitPerm,
 		}
 	}
 	return lp, true
-}
-
-// litPermKey is a map key identifying a literal permutation by image.
-func litPermKey(p symgraph.LitPerm) string {
-	return fmt.Sprint(p.Img)
 }
 
 // DetectSymmetries runs only the symmetry-detection half of the flow on the

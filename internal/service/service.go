@@ -378,6 +378,11 @@ type Config struct {
 type job struct {
 	id     string
 	tenant string
+	// name is the instance name that status and logs report. g is the
+	// graph itself; finish drops it (under mu), so the bounded history
+	// of finished jobs holds names, not graphs. Only the worker running
+	// the job reads g.
+	name   string
 	g      *graph.Graph
 	spec   JobSpec
 	ctx    context.Context
@@ -393,7 +398,8 @@ type job struct {
 	// Tracing state: the per-job trace, its root "job" span, and the
 	// "queue" span opened at admission and closed when a worker picks the
 	// job up. All nil when tracing is disabled — every obs operation is a
-	// nil-receiver no-op. Immutable after the job is enqueued.
+	// nil-receiver no-op. Immutable after the job is enqueued, until
+	// finish hands a copy to the flight recorder and drops them.
 	trace     *obs.Trace
 	rootSpan  *obs.Span
 	queueSpan *obs.Span
@@ -655,6 +661,7 @@ func (s *Service) replayJob(e JournalEntry) {
 	j := &job{
 		id:         e.ID,
 		tenant:     tenant,
+		name:       e.Name,
 		g:          e.Graph(),
 		spec:       spec,
 		ctx:        ctx,
@@ -688,7 +695,7 @@ func (s *Service) replayJob(e JournalEntry) {
 	s.attachTrace(j, "", time.Now())
 	s.pq.push(j)
 	s.logger.Info("job replayed from journal", "job", j.id, "tenant", tenant,
-		"instance", j.g.Name())
+		"instance", j.name)
 }
 
 // Submit enqueues one coloring job for the anonymous default tenant. The
@@ -728,6 +735,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	j := &job{
 		id:        fmt.Sprintf("job-%d", seq),
 		tenant:    tenant,
+		name:      g.Name(),
 		g:         g,
 		spec:      spec,
 		ctx:       ctx,
@@ -820,7 +828,7 @@ func (s *Service) attachTrace(j *job, traceID string, admitStart time.Time) {
 	}
 	j.trace = obs.NewTrace(traceID, j.id)
 	j.rootSpan = j.trace.StartSpanAt(nil, "job", admitStart,
-		obs.String("tenant", j.tenant), obs.String("instance", j.g.Name()))
+		obs.String("tenant", j.tenant), obs.String("instance", j.name))
 	adm := j.trace.StartSpanAt(j.rootSpan, "admission", admitStart)
 	adm.End()
 	j.queueSpan = j.trace.StartSpan(j.rootSpan, "queue")
@@ -1477,6 +1485,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	}
 	j.finished = time.Now()
 	j.phase = "done"
+	j.g = nil
 	j.mu.Unlock()
 
 	// Release the tenant's in-flight slot and bound the job history before
@@ -1522,7 +1531,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	// durations and the trace id correlate this line with the job's span
 	// tree (the trace id is the request id when the client sent one).
 	attrs := []any{
-		"tenant", j.tenant, "job", j.id, "instance", j.g.Name(),
+		"tenant", j.tenant, "job", j.id, "instance", j.name,
 		"outcome", state.String(),
 		"queue_wait_ms", queueWait.Milliseconds(),
 	}
@@ -1544,6 +1553,11 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		attrs = append(attrs, "cache", cache, "status", res.Status.String(), "chi", res.Chi)
 	}
 	s.logger.Info("job finished", attrs...)
+
+	// The flight recorder holds its own copy of the trace.
+	j.mu.Lock()
+	j.trace, j.rootSpan, j.queueSpan = nil, nil, nil
+	j.mu.Unlock()
 }
 
 func (j *job) info() JobInfo {
@@ -1552,7 +1566,7 @@ func (j *job) info() JobInfo {
 	info := JobInfo{
 		ID:        j.id,
 		Tenant:    j.tenant,
-		Instance:  j.g.Name(),
+		Instance:  j.name,
 		Spec:      j.spec,
 		State:     j.state.String(),
 		Submitted: j.submitted,

@@ -408,3 +408,49 @@ func TestJobHistoryBounded(t *testing.T) {
 		t.Fatalf("%d jobs retained, want <= 2", n)
 	}
 }
+
+// TestFinishedJobDropsGraph: a finished job keeps its instance name for
+// status and logs but not the graph or its live trace, so the job history
+// (up to MaxJobs finished jobs) does not hold every graph it has seen.
+// The graph is gone once Wait returns; the trace is finalized after
+// waiters wake, so it is checked once Close has waited out the worker.
+// The flight recorder still serves the trace from its own copy.
+func TestFinishedJobDropsGraph(t *testing.T) {
+	var runs atomic.Int64
+	svc := New(Config{Workers: 1, Solve: countingSolve(&runs, 0)})
+	defer svc.Close()
+	g := graph.Random("kept-name", 10, 20, 1)
+	id, err := svc.Submit(g, JobSpec{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := svc.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateDone.String() || info.Instance != "kept-name" {
+		t.Fatalf("Wait: state %q instance %q, want done and kept-name", info.State, info.Instance)
+	}
+	svc.mu.Lock()
+	j := svc.jobs[id]
+	svc.mu.Unlock()
+	j.mu.Lock()
+	graphHeld := j.g != nil
+	j.mu.Unlock()
+	if graphHeld {
+		t.Fatal("finished job still holds its graph")
+	}
+	svc.Close()
+	j.mu.Lock()
+	traceHeld := j.trace != nil
+	j.mu.Unlock()
+	if traceHeld {
+		t.Fatal("finished job still holds its live trace")
+	}
+	if got, err := svc.Job(id); err != nil || got.Instance != "kept-name" {
+		t.Fatalf("Job after finish: instance %q err %v, want kept-name", got.Instance, err)
+	}
+	if _, err := svc.Trace(id); err != nil {
+		t.Fatalf("Trace after finish: %v", err)
+	}
+}

@@ -17,14 +17,12 @@
 //     way.
 //
 // Detected vertex generators are mapped back to literal permutations and
-// verified against the formula (VerifyLitPerm), which rules out the
+// verified against the formula (Verifier), which rules out the
 // spurious symmetries the binary-clause optimization can admit in graphs
 // with circular implication chains.
 package symgraph
 
 import (
-	"sort"
-
 	"repro/internal/autom"
 	"repro/internal/cnf"
 	"repro/internal/pb"
@@ -288,98 +286,6 @@ func (e *Encoding) LitPerms(gens []autom.Perm) []LitPerm {
 	return out
 }
 
-// VerifyLitPerm checks that a literal permutation is a symmetry of the
-// formula: it maps the clause multiset and constraint multiset onto
-// themselves and fixes the objective as a set. This guards the
-// binary-clause graph optimization against spurious symmetries from
-// circular implication chains (paper §2.4).
-func VerifyLitPerm(f *pb.Formula, p LitPerm) bool {
-	clauseCount := map[string]int{}
-	add := func(set map[string]int, key string, d int) {
-		set[key] += d
-		if set[key] == 0 {
-			delete(set, key)
-		}
-	}
-	for _, c := range f.Clauses {
-		norm, taut := c.Normalize()
-		if taut {
-			continue
-		}
-		add(clauseCount, norm.String(), 1)
-		mapped := make(cnf.Clause, len(norm))
-		for i, l := range norm {
-			mapped[i] = p.Image(l)
-		}
-		mnorm, mtaut := mapped.Normalize()
-		if mtaut {
-			return false
-		}
-		add(clauseCount, mnorm.String(), -1)
-	}
-	if len(clauseCount) != 0 {
-		return false
-	}
-	consCount := map[string]int{}
-	for i := range f.Constraints {
-		c := &f.Constraints[i]
-		add(consCount, constraintKey(c.Terms, c.Bound), 1)
-		mapped := make([]pb.Term, len(c.Terms))
-		for j, t := range c.Terms {
-			mapped[j] = pb.Term{Coef: t.Coef, Lit: p.Image(t.Lit)}
-		}
-		add(consCount, constraintKey(mapped, c.Bound), -1)
-	}
-	if len(consCount) != 0 {
-		return false
-	}
-	if len(f.Objective) > 0 {
-		obj := map[string]int{}
-		add(obj, constraintKey(f.Objective, 0), 1)
-		mapped := make([]pb.Term, len(f.Objective))
-		for j, t := range f.Objective {
-			mapped[j] = pb.Term{Coef: t.Coef, Lit: p.Image(t.Lit)}
-		}
-		add(obj, constraintKey(mapped, 0), -1)
-		if len(obj) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// constraintKey canonicalizes a term list plus bound for multiset
-// comparison.
-func constraintKey(terms []pb.Term, bound int) string {
-	type ct struct {
-		coef int
-		lit  cnf.Lit
-	}
-	cts := make([]ct, len(terms))
-	for i, t := range terms {
-		cts[i] = ct{t.Coef, t.Lit}
-	}
-	sort.Slice(cts, func(i, j int) bool {
-		if cts[i].lit != cts[j].lit {
-			return cts[i].lit < cts[j].lit
-		}
-		return cts[i].coef < cts[j].coef
-	})
-	b := make([]byte, 0, 8*len(cts)+4)
-	b = appendInt(b, bound)
-	for _, t := range cts {
-		b = appendInt(b, t.coef)
-		b = appendInt(b, int(t.lit))
-	}
-	return string(b)
-}
-
-func appendInt(b []byte, x int) []byte {
-	u := uint64(x)
-	return append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56), ';')
-}
-
 // Detect is the convenience entry point: build the graph, search for
 // automorphisms, translate and verify generators against the formula.
 // It returns the verified literal permutations and the raw search result
@@ -387,12 +293,19 @@ func appendInt(b []byte, x int) []byte {
 // that act only on auxiliary vertices — in the constructions used here the
 // two coincide).
 func Detect(f *pb.Formula, opts autom.Options) ([]LitPerm, *autom.Result) {
-	enc := Build(f)
+	return NewVerifier(f).Detect(opts)
+}
+
+// Detect runs Detect on the verifier's formula, checking every candidate
+// with this one index, so a caller that verifies further maps afterwards
+// (lifted graph automorphisms, say) indexes the formula only once.
+func (v *Verifier) Detect(opts autom.Options) ([]LitPerm, *autom.Result) {
+	enc := Build(v.f)
 	res := autom.FindAutomorphisms(enc.G, opts)
 	perms := enc.LitPerms(res.Generators)
 	verified := perms[:0]
 	for _, p := range perms {
-		if VerifyLitPerm(f, p) {
+		if v.Verify(p) {
 			verified = append(verified, p)
 		}
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-baseline bench-compare fmt vet linkcheck docs loc loadtest chaostest crashtest tracecheck sbpdata sbpdata-check
+.PHONY: build test race fuzz bench bench-baseline bench-compare fmt vet linkcheck docs loc loadtest chaostest crashtest tracecheck
 
 build:
 	$(GO) build ./...
@@ -20,16 +20,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSBPVariant$$' -fuzztime $(FUZZTIME) ./internal/sbp
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyLitPerm$$' -fuzztime $(FUZZTIME) ./internal/symgraph
-
-# sbpdata regenerates the embedded canonizing-set data consumed by the
-# canonset SBP variant; sbpdata-check regenerates to memory and fails on
-# any diff against the committed copy (the CI staleness gate). Generation
-# is deterministic, so a clean tree stays clean.
-sbpdata:
-	$(GO) run ./cmd/sbpgen
-
-sbpdata-check:
-	$(GO) run ./cmd/sbpgen -check
 
 fmt:
 	gofmt -l -w .

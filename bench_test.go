@@ -325,39 +325,35 @@ func BenchmarkSolverSearchKnobs(b *testing.B) {
 	}
 }
 
-// BenchmarkSBPVariants solves one symmetric instance under each lex-leader
-// construction (full generator break and precomputed canonizing set). Both
-// variants must reach the same χ — the knob only moves solve time and
-// predicate volume — so bench-compare records the speed/size trade-off
-// side by side; the deterministic sbp-clauses/op and sbp-perms/op metrics
-// track how much CNF each construction emits.
+// BenchmarkSBPVariants solves one symmetric instance with the lex-leader
+// layer, in a sub-benchmark named after its one construction, full. The
+// deterministic sbp-clauses/op and sbp-perms/op metrics track how much CNF
+// the construction emits.
 func BenchmarkSBPVariants(b *testing.B) {
 	g, _ := graph.Benchmark("myciel4")
-	for _, v := range []sbp.Variant{sbp.VariantFull, sbp.VariantCanonSet} {
-		b.Run(v.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var clauses, perms int
-			for i := 0; i < b.N; i++ {
-				// SBPNone leaves all symmetry to the lex-leader layer, so
-				// each variant's predicate volume is visible (under NU/CA/LI
-				// the verification gate drops the color perms the
-				// construction would otherwise break — by design).
-				out := core.Solve(context.Background(), g, core.Config{
-					K: 8, SBP: encode.SBPNone, Engine: pbsolver.EnginePBS,
-					InstanceDependent: true, SBPVariant: v,
-					SymMaxNodes: 100000, Timeout: 30 * time.Second,
-				})
-				if out.Chi != 5 {
-					b.Fatalf("variant %v: chi=%d status=%v", v, out.Chi, out.Result.Status)
-				}
-				if out.Sym != nil {
-					clauses, perms = out.Sym.AddedCNF, out.Sym.PredicatePerms
-				}
+	b.Run(sbp.VariantName, func(b *testing.B) {
+		b.ReportAllocs()
+		var clauses, perms int
+		for i := 0; i < b.N; i++ {
+			// SBPNone leaves all symmetry to the lex-leader layer, so its
+			// predicate volume is visible (under NU/CA/LI the verification
+			// gate drops the color perms those constructions already
+			// break — by design).
+			out := core.Solve(context.Background(), g, core.Config{
+				K: 8, SBP: encode.SBPNone, Engine: pbsolver.EnginePBS,
+				InstanceDependent: true,
+				SymMaxNodes:       100000, Timeout: 30 * time.Second,
+			})
+			if out.Chi != 5 {
+				b.Fatalf("chi=%d status=%v", out.Chi, out.Result.Status)
 			}
-			b.ReportMetric(float64(clauses), "sbp-clauses/op")
-			b.ReportMetric(float64(perms), "sbp-perms/op")
-		})
-	}
+			if out.Sym != nil {
+				clauses, perms = out.Sym.AddedCNF, out.Sym.PredicatePerms
+			}
+		}
+		b.ReportMetric(float64(clauses), "sbp-clauses/op")
+		b.ReportMetric(float64(perms), "sbp-perms/op")
+	})
 }
 
 // BenchmarkParallelSolve compares the sequential engine against the

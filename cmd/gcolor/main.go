@@ -49,7 +49,7 @@ func main() {
 	batch := flag.String("batch", "", "comma-separated instances (bench names or .col paths) solved through the coloring service")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	k := flag.Int("k", 20, "color bound K")
-	sbpName := flag.String("sbp", "none", "symmetry breaking: a construction (none,NU,CA,LI,SC,NU+SC) and/or a lex-leader variant (full,canonset), comma-combinable, e.g. NU,canonset; involution and race are aliases of full and do not imply -instdep")
+	sbpName := flag.String("sbp", "none", "symmetry breaking: a construction (none,NU,CA,LI,SC,NU+SC), optionally comma-combined with a lex-leader variant name (full; canonset, canon, involution, inv and race are aliases of it), e.g. NU,full; the lex-leader layer runs only with -instdep")
 	instDep := flag.Bool("instdep", false, "detect and break instance-dependent symmetries")
 	engineName := flag.String("engine", "pbs2", "solver engine: pbs2,galena,pueblo,bnb")
 	portfolio := flag.Bool("portfolio", false, "race all engines, keep the first definitive answer")
@@ -105,7 +105,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	kind, variant, err := service.ParseSBPSpec(*sbpName)
+	kind, err := service.ParseSBPSpec(*sbpName)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,7 +114,7 @@ func main() {
 		fatal(err)
 	}
 	spec := service.JobSpec{
-		K: *k, SBP: kind, SBPVariant: variant, Engine: eng, Portfolio: *portfolio,
+		K: *k, SBP: kind, Engine: eng, Portfolio: *portfolio,
 		InstanceDependent: *instDep, Timeout: *timeout,
 		Priority: *priority, Deadline: *deadline, Knobs: knobs,
 	}
@@ -153,7 +153,7 @@ func main() {
 	}
 
 	cfg := core.Config{
-		K: *k, SBP: kind, SBPVariant: variant, InstanceDependent: *instDep,
+		K: *k, SBP: kind, InstanceDependent: *instDep,
 		Engine: eng, Portfolio: *portfolio, Timeout: *timeout, Knobs: knobs,
 	}
 	if *progress {
@@ -164,17 +164,8 @@ func main() {
 	fmt.Printf("encoding: %d vars, %d clauses, %d PB constraints (SBP=%v)\n",
 		out.EncodeStats.Vars, out.EncodeStats.CNF, out.EncodeStats.PB, kind)
 	if s := out.Sym; s != nil {
-		// A canonset run skips detection: no group order to report.
-		order := "-"
-		if s.Order != nil {
-			order = s.Order.String()
-		}
-		detail := ""
-		if s.Variant == sbp.VariantCanonSet {
-			detail = fmt.Sprintf(", canon set %d", s.CanonSetSize)
-		}
-		fmt.Printf("symmetries: variant=%s, |Aut|=%s, %d generators%s, %d perms broken, detect %v, +%d SBP clauses\n",
-			s.Variant, order, s.Generators, detail, s.PredicatePerms,
+		fmt.Printf("symmetries: variant=%s, |Aut|=%s, %d generators, %d perms broken, detect %v, +%d SBP clauses\n",
+			sbp.VariantName, s.Order, s.Generators, s.PredicatePerms,
 			s.DetectTime.Round(time.Millisecond), s.AddedCNF)
 	}
 	winner := ""

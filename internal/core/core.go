@@ -57,14 +57,6 @@ type Config struct {
 	// generated 0-1 ILP instance before solving (the "w/ i.-d. SBPs"
 	// columns of Tables 3-5).
 	InstanceDependent bool
-	// SBPVariant selects the lex-leader construction the predicate layer
-	// emits: the full detected-generator break (default) or the
-	// precomputed canonizing set of color permutations. VariantFull only
-	// acts when InstanceDependent is set (it consumes detected generators);
-	// VariantCanonSet needs no detection and acts whenever selected. Both
-	// variants are sound partial breaks, so the knob never changes the
-	// answer — only how fast the solver reaches it.
-	SBPVariant sbp.Variant
 	// GraphGens are automorphisms of the instance graph known to the
 	// caller (the service layer forwards generators its canonical-labeling
 	// search discovered). When InstanceDependent is set they are lifted to
@@ -114,16 +106,10 @@ type SymmetryStats struct {
 	// canonical search's discoveries) that survived verification and were
 	// not already found by formula-level detection.
 	FromGraph int
-	// Variant is the SBP construction that produced the predicates.
-	Variant sbp.Variant
 	// PredicatePerms counts the permutations whose lex-leader predicates
 	// were actually emitted (after verification and empty-support drops)
-	// — the per-variant counter /v1/stats and /metrics aggregate.
+	// — the counter /v1/stats and /metrics aggregate.
 	PredicatePerms int
-	// CanonSetSize is the size of the precomputed canonizing set consulted
-	// for the color bound (VariantCanonSet only; emitted perms can be fewer
-	// when the instance-independent SBP already broke some).
-	CanonSetSize int
 }
 
 // Outcome is the result of solving one instance under one configuration.
@@ -178,9 +164,8 @@ func Solve(ctx context.Context, g *graph.Graph, cfg Config) Outcome {
 	)
 	// The sbp span is emitted even when the predicate layer is skipped so
 	// every trace has the same phase skeleton.
-	sbpCtx, sbpSpan := obs.StartSpan(ctx, "sbp",
-		obs.String("variant", cfg.SBPVariant.String()))
-	if cfg.InstanceDependent || cfg.SBPVariant == sbp.VariantCanonSet {
+	sbpCtx, sbpSpan := obs.StartSpan(ctx, "sbp", obs.String("variant", sbp.VariantName))
+	if cfg.InstanceDependent {
 		out.Sym = breakSymmetries(sbpCtx, enc, cfg)
 	}
 	if out.Sym != nil {
@@ -246,34 +231,10 @@ func EffectiveK(g *graph.Graph, k int) int {
 	return maxDeg + 1
 }
 
-// breakSymmetries appends the lex-leader predicates the configured SBP
-// variant selects and returns the statistics. VariantFull consumes
-// detected symmetries of the formula (merged with any caller-supplied
-// graph automorphisms that survive verification); VariantCanonSet skips
-// detection entirely and lifts the precomputed canonizing set of color
-// permutations instead. Returns nil when the variant has no generator
-// source (full without InstanceDependent).
+// breakSymmetries appends lex-leader predicates for the detected
+// symmetries of the formula, merged with any caller-supplied graph
+// automorphisms that survive verification, and returns the statistics.
 func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *SymmetryStats {
-	var opts sbp.Options
-	if cfg.SBPVariant == sbp.VariantCanonSet {
-		// The canonizing set is precomputed per color bound: no detection
-		// run, no group order to report (Order stays nil). Lifts broken by
-		// the instance-independent SBP fail verification and drop out.
-		set := sbp.CanonSet(enc.K)
-		perms := canonSetLitPerms(enc, symgraph.NewVerifier(enc.F), set)
-		st := sbp.AddSBPs(enc.F, perms, opts)
-		return &SymmetryStats{
-			Generators:     len(perms),
-			Variant:        cfg.SBPVariant,
-			PredicatePerms: st.Generators,
-			CanonSetSize:   len(set),
-			AddedVars:      st.AddedVars,
-			AddedCNF:       st.Clauses,
-		}
-	}
-	if !cfg.InstanceDependent {
-		return nil
-	}
 	aOpts := autom.Options{MaxNodes: cfg.SymMaxNodes, Context: ctx}
 	if cfg.SymTimeout > 0 {
 		aOpts.Deadline = time.Now().Add(cfg.SymTimeout)
@@ -296,48 +257,17 @@ func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *Sym
 			fromGraph++
 		}
 	}
-	st := sbp.AddSBPs(enc.F, perms, opts)
+	st := sbp.AddSBPs(enc.F, perms, sbp.Options{})
 	return &SymmetryStats{
 		Order:          res.Order,
 		Generators:     len(perms),
 		Exact:          res.Exact,
 		DetectTime:     res.Time,
 		FromGraph:      fromGraph,
-		Variant:        cfg.SBPVariant,
 		PredicatePerms: st.Generators,
 		AddedVars:      st.AddedVars,
 		AddedCNF:       st.Clauses,
 	}
-}
-
-// canonSetLitPerms lifts the canonizing set's color permutations to
-// literal permutations of the encoding — σ acts on color values:
-// x(v,j) → x(v,σ(j)) for every vertex, y(j) → y(σ(j)) — keeping only
-// lifts verified to be symmetries of the formula. Instance-independent
-// constructions that order colors (NU, CA, LI) break some or all color
-// permutations; those fail verification and contribute nothing, which is
-// what keeps the variant sound under every SBPKind.
-func canonSetLitPerms(enc *encode.Encoding, ver *symgraph.Verifier, set [][]int) []symgraph.LitPerm {
-	var out []symgraph.LitPerm
-	for _, cp := range set {
-		if len(cp) != enc.K {
-			continue
-		}
-		lp := symgraph.NewIdentityPerm(enc.F.NumVars)
-		for v := 0; v < enc.G.N(); v++ {
-			for j := 0; j < enc.K; j++ {
-				lp.Img[enc.X(v, j)] = cnf.PosLit(enc.X(v, cp[j]))
-			}
-		}
-		for j := 0; j < enc.K; j++ {
-			lp.Img[enc.Y(j)] = cnf.PosLit(enc.Y(cp[j]))
-		}
-		if lp.IsIdentity() || !ver.Verify(lp) {
-			continue
-		}
-		out = append(out, lp)
-	}
-	return out
 }
 
 // graphAutToLitPerm lifts a vertex automorphism of the instance graph to a

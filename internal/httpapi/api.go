@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -307,10 +308,10 @@ type JobRequest struct {
 
 	K   int    `json:"k,omitempty"`
 	SBP string `json:"sbp,omitempty"`
-	// SBPVariant selects the lex-leader construction of the predicate
-	// layer: "full" (default) or "canonset"; "involution" and "race" are
-	// accepted as aliases of "full". Answer-invariant and excluded from
-	// the result-cache key.
+	// SBPVariant names the lex-leader construction of the predicate
+	// layer. There is one, "full"; "canonset", "canon", "involution",
+	// "inv" and "race" are accepted as aliases of it, and any other name
+	// is refused (service.ParseSBPVariant).
 	SBPVariant        string `json:"sbp_variant,omitempty"`
 	Engine            string `json:"engine,omitempty"`
 	Portfolio         bool   `json:"portfolio,omitempty"`
@@ -375,8 +376,7 @@ func (r *JobRequest) Spec() (service.JobSpec, error) {
 	if err != nil {
 		return spec, err
 	}
-	variant, err := service.ParseSBPVariant(r.SBPVariant)
-	if err != nil {
+	if err := service.ParseSBPVariant(r.SBPVariant); err != nil {
 		return spec, err
 	}
 	eng, err := service.ParseEngine(r.Engine)
@@ -384,7 +384,7 @@ func (r *JobRequest) Spec() (service.JobSpec, error) {
 		return spec, err
 	}
 	spec = service.JobSpec{
-		K: r.K, SBP: kind, SBPVariant: variant, Engine: eng,
+		K: r.K, SBP: kind, Engine: eng,
 		Portfolio: r.Portfolio, InstanceDependent: r.InstanceDependent,
 		Priority: r.Priority, Knobs: r.Knobs,
 	}
@@ -408,6 +408,14 @@ func (r *JobRequest) Spec() (service.JobSpec, error) {
 // submit handles POST /v1/jobs: strict decode, graph-size limits, then
 // tenant-aware admission with typed 429 backpressure.
 func (a *api) submit(w http.ResponseWriter, r *http.Request) {
+	tenant, ok := tenantOf(r)
+	if !ok {
+		apiError(w, r, http.StatusBadRequest, ErrorDetail{
+			Code:    CodeInvalidSpec,
+			Message: fmt.Sprintf("X-Tenant header must be at most %d bytes without control characters", maxTenantLen),
+		})
+		return
+	}
 	var req JobRequest
 	body := http.MaxBytesReader(w, r.Body, 64<<20)
 	dec := json.NewDecoder(body)
@@ -451,7 +459,7 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 	// The request id doubles as the trace correlation id, so the
 	// X-Request-ID a client sent (or we generated) finds the job's span
 	// tree under /v1/jobs/{id}/trace.
-	id, err := a.svc.SubmitTenantTraced(tenantOf(r), requestID(r), g, spec)
+	id, err := a.svc.SubmitTenantTraced(tenant, requestID(r), g, spec)
 	if err != nil {
 		a.submitError(w, r, err)
 		return
@@ -658,19 +666,36 @@ func requestID(r *http.Request) string {
 	return id
 }
 
+// Bounds on the header values a client chooses. A tenant name becomes a
+// permanent /v1/stats entry and three /metrics series; a request id is
+// echoed, logged and kept as the job's trace id.
+const (
+	maxTenantLen    = 64
+	maxRequestIDLen = 128
+)
+
+// headerValue returns the trimmed value of the named header and whether
+// it is acceptable: at most limit bytes, with no control characters.
+func headerValue(r *http.Request, name string, limit int) (string, bool) {
+	v := strings.TrimSpace(r.Header.Get(name))
+	return v, len(v) <= limit && strings.IndexFunc(v, unicode.IsControl) < 0
+}
+
 // tenantOf maps the X-Tenant header to the service tenant ("" falls
-// through to the service's "default").
-func tenantOf(r *http.Request) string {
-	return strings.TrimSpace(r.Header.Get("X-Tenant"))
+// through to the service's "default"); ok is false for a name submit
+// refuses.
+func tenantOf(r *http.Request) (tenant string, ok bool) {
+	return headerValue(r, "X-Tenant", maxTenantLen)
 }
 
 // withRequestID attaches an id to every request: the client's
-// X-Request-ID when present, a generated one otherwise. The id is echoed
-// on the response header, embedded in error envelopes, and logged.
+// X-Request-ID when present and acceptable, a generated one otherwise.
+// The id is echoed on the response header, embedded in error envelopes,
+// and logged.
 func withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimSpace(r.Header.Get("X-Request-ID"))
-		if id == "" {
+		id, ok := headerValue(r, "X-Request-ID", maxRequestIDLen)
+		if id == "" || !ok {
 			id = newRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
@@ -692,11 +717,15 @@ func withLogging(logger *slog.Logger, next http.Handler) http.Handler {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
+		tenant, ok := tenantOf(r)
+		if !ok {
+			tenant = "(invalid)"
+		}
 		logger.Info("http request",
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", rec.status,
-			"tenant", tenantOf(r),
+			"tenant", tenant,
 			"request_id", requestID(r),
 			"duration_ms", time.Since(start).Milliseconds(),
 		)

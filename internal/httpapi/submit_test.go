@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
-	"repro/internal/sbp"
 	"repro/internal/service"
 	"repro/internal/solverutil"
 )
@@ -120,25 +119,35 @@ func TestKnobsReachSolverOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRemovedSBPVariantNamesAliasFull: the names of the removed
-// involution and race variants still parse and reach the solver as the
-// full variant; an unknown name is still a 400 invalid_spec.
+// TestRemovedSBPVariantNamesAliasFull: every name a request's sbp_variant
+// accepts — the names of the removed involution, race and canonset
+// variants included — reaches the solver exactly as a request naming no
+// variant, that is under the one construction, full; an unknown name is
+// still a 400 invalid_spec.
 func TestRemovedSBPVariantNamesAliasFull(t *testing.T) {
 	seen := make(chan service.JobSpec, 1)
 	h := stubHandler(t, Config{}, seen)
-	for i, name := range []string{"involution", "inv", "race"} {
-		// Distinct K values keep the submissions from sharing a solve.
-		rec := postJob(h, fmt.Sprintf(`{"n":3,"edges":[[0,1],[1,2]],"k":%d,"instance_dependent":true,"sbp_variant":%q}`, 3+i, name))
+	solved := func(body string) service.JobSpec {
+		t.Helper()
+		rec := postJob(h, body)
 		if rec.Code != http.StatusAccepted {
-			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
 		}
 		select {
 		case spec := <-seen:
-			if spec.SBPVariant != sbp.VariantFull {
-				t.Errorf("%s: solver saw variant %v, want full", name, spec.SBPVariant)
-			}
+			return spec
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: solver never ran", name)
+			t.Fatalf("%s: solver never ran", body)
+		}
+		return service.JobSpec{}
+	}
+	want := solved(`{"n":3,"edges":[[0,1],[1,2]],"k":3,"instance_dependent":true}`)
+	for i, name := range []string{"", "full", "involution", "inv", "race", "canonset", "canon"} {
+		// Distinct K values keep the submissions from sharing a solve.
+		got := solved(fmt.Sprintf(`{"n":3,"edges":[[0,1],[1,2]],"k":%d,"instance_dependent":true,"sbp_variant":%q}`, 4+i, name))
+		got.K = want.K
+		if got != want {
+			t.Errorf("%q: solver saw %+v, want %+v", name, got, want)
 		}
 	}
 	rec := postJob(h, `{"n":3,"edges":[[0,1],[1,2]],"sbp_variant":"bogus"}`)
@@ -169,6 +178,64 @@ func TestHostileVertexCounts(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
 			t.Errorf("%s: refusing it allocated %d MB", body, grew>>20)
+		}
+	}
+}
+
+// TestHostileHeaders: the header values a client chooses are bounded. An
+// X-Tenant over 64 bytes or holding a control character is refused with
+// 400 invalid_spec naming the header, before it can become a tenant (a
+// /v1/stats entry and three /metrics series); an X-Request-ID over 128
+// bytes or holding a control character is replaced by a generated id
+// instead of being echoed, logged and kept as the trace id. Values at the
+// limits pass unchanged.
+func TestHostileHeaders(t *testing.T) {
+	h := stubHandler(t, Config{}, nil)
+	post := func(header, value string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"n":3,"edges":[[0,1],[1,2]],"k":3}`))
+		req.Header.Set(header, value)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	huge := strings.Repeat("x", 512<<10)
+	for _, tenant := range []string{huge, strings.Repeat("t", 65), "ten\tant", "ten\x01ant", "ten\x7fant"} {
+		rec := post("X-Tenant", tenant)
+		if rec.Code != http.StatusBadRequest || envelopeCode(rec) != CodeInvalidSpec || !strings.Contains(rec.Body.String(), "X-Tenant") {
+			t.Errorf("X-Tenant %.20q (%d bytes): status %d body %.200s, want 400 %s naming the header",
+				tenant, len(tenant), rec.Code, rec.Body, CodeInvalidSpec)
+		}
+	}
+	edgeTenant := strings.Repeat("t", 64)
+	if rec := post("X-Tenant", edgeTenant); rec.Code != http.StatusAccepted {
+		t.Errorf("64-byte X-Tenant: status %d body %s, want 202", rec.Code, rec.Body)
+	}
+	for _, id := range []string{huge, strings.Repeat("r", 129), "req\tid", "req\x01id"} {
+		rec := post("X-Request-ID", id)
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusAccepted {
+			t.Fatalf("X-Request-ID of %d bytes: status %d body %.200s, want 202", len(id), rec.Code, rec.Body)
+		}
+		got := rec.Header().Get("X-Request-ID")
+		if got == "" || len(got) > 128 || strings.Contains(id, got) || body["request_id"] != got {
+			t.Errorf("X-Request-ID %.20q (%d bytes): echoed %.40q, body %.40q; want a generated id",
+				id, len(id), got, body["request_id"])
+		}
+	}
+	edgeID := strings.Repeat("r", 128)
+	if got := post("X-Request-ID", edgeID).Header().Get("X-Request-ID"); got != edgeID {
+		t.Errorf("128-byte X-Request-ID echoed as %.40q, want it unchanged", got)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st service.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	for name := range st.Tenants {
+		if name != "default" && name != edgeTenant {
+			t.Errorf("refused X-Tenant became tenant %.20q (%d bytes)", name, len(name))
 		}
 	}
 }

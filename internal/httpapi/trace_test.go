@@ -12,33 +12,23 @@ import (
 	"repro/internal/service"
 )
 
-// fetchTraceView polls GET /v1/jobs/{id}/trace until the flight recorder
-// serves the completed trace. The job being terminal does not make the
-// trace visible in the same instant — finish() records it just after the
-// state flips — so a short retry loop keeps the tests deterministic.
+// fetchTraceView fetches GET /v1/jobs/{id}/trace for a job known to have
+// finished; the daemon answers once the flight recorder holds the trace.
 func fetchTraceView(t *testing.T, srv *httptest.Server, id string) obs.TraceView {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(srv.URL + "/v1/jobs/" + id + "/trace")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusOK {
-			var tv obs.TraceView
-			err := json.NewDecoder(resp.Body).Decode(&tv)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tv
-		}
-		resp.Body.Close()
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s: trace never became available (last status %d)", id, resp.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job %s: trace status %d, want 200", id, resp.StatusCode)
+	}
+	var tv obs.TraceView
+	if err := json.NewDecoder(resp.Body).Decode(&tv); err != nil {
+		t.Fatal(err)
+	}
+	return tv
 }
 
 // TestTraceEndpointShape: a completed job's trace is a single-root span
@@ -169,7 +159,7 @@ func TestTraceRecentAndEviction(t *testing.T) {
 		}[bench]
 		ids[i] = submitJob(t, srv, body)
 		waitDone(t, srv, ids[i])
-		fetchTraceView(t, srv, ids[i]) // wait until this trace is recorded
+		fetchTraceView(t, srv, ids[i])
 	}
 
 	resp, err := http.Get(srv.URL + "/v1/trace/recent?n=10")

@@ -21,6 +21,11 @@ import (
 	"repro/internal/symgraph"
 )
 
+// VariantName is the name results, the /v1/stats sbp_variants row, the
+// gcolord_sbp_* metric label and the sbp trace span report for this
+// construction. Every SBP-variant name a request may give selects it.
+const VariantName = "full"
+
 // Stats reports the size of the added predicates.
 type Stats struct {
 	Generators int // generators for which SBPs were emitted

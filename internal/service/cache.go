@@ -11,12 +11,11 @@ import (
 // changes the answer or its provenance) plus the canonical-form hash.
 // Equal canonical encodings imply isomorphic graphs even when the
 // canonical search was truncated, so keying on the hash is always sound;
-// truncation only costs dedup opportunities. Timeout, the SBP variant
-// (every variant is a sound partial break of the same group, see
-// internal/sbp), the admission fields (Priority, Deadline) and the search
-// knobs of core.Knobs are deliberately left out: they change how fast a
-// definitive answer is reached, never which answer, so differently tuned
-// submissions safely share entries. The same key addresses both the
+// truncation only costs dedup opportunities. Timeout, the admission
+// fields (Priority, Deadline) and the search knobs of core.Knobs are
+// deliberately left out: they change how fast a definitive answer is
+// reached, never which answer, so differently tuned submissions safely
+// share entries. The same key addresses both the
 // in-flight singleflight table and the durable Backend, so its format is
 // part of the on-disk store contract (see docs/API.md).
 //

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/pbsolver"
-	"repro/internal/sbp"
 )
 
 // TestJobSpecAndCacheKeyGolden pins two persisted formats byte for byte:
@@ -20,7 +19,7 @@ import (
 func TestJobSpecAndCacheKeyGolden(t *testing.T) {
 	spec := JobSpec{
 		K: 7, SBP: encode.SBPNUSC, Engine: pbsolver.EngineGalena,
-		Portfolio: true, InstanceDependent: true, SBPVariant: sbp.VariantCanonSet,
+		Portfolio: true, InstanceDependent: true,
 		Timeout: 5 * time.Second, Priority: 2, Deadline: 30 * time.Second,
 		Knobs: core.Knobs{
 			Knobs: pbsolver.Knobs{
@@ -35,7 +34,7 @@ func TestJobSpecAndCacheKeyGolden(t *testing.T) {
 		spec JobSpec
 		want string
 	}{
-		{"full", spec, `{"k":7,"sbp":5,"engine":1,"portfolio":true,"instance_dependent":true,"sbp_variant":2,"timeout":5000000000,"priority":2,"deadline":30000000000,"chrono_threshold":3,"vivify_budget":500,"dynamic_lbd":true,"glue_lbd":4,"reduce_interval":3000,"restart_base":64,"parallel":2,"cube_depth":5,"share_lbd":6}`},
+		{"full", spec, `{"k":7,"sbp":5,"engine":1,"portfolio":true,"instance_dependent":true,"timeout":5000000000,"priority":2,"deadline":30000000000,"chrono_threshold":3,"vivify_budget":500,"dynamic_lbd":true,"glue_lbd":4,"reduce_interval":3000,"restart_base":64,"parallel":2,"cube_depth":5,"share_lbd":6}`},
 		{"zero", JobSpec{}, `{"k":0,"sbp":0,"engine":0,"portfolio":false,"instance_dependent":false,"timeout":0}`},
 	} {
 		got, err := json.Marshal(tc.spec)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
-	"repro/internal/sbp"
 	"repro/internal/solverutil"
 	"repro/internal/testutil"
 )
@@ -34,7 +33,7 @@ func TestKnobPlumbingReachesSolver(t *testing.T) {
 	g := graph.Random("knobs", 10, 20, 3)
 	want := JobSpec{
 		K: 5, Engine: pbsolver.EnginePueblo,
-		InstanceDependent: true, SBPVariant: sbp.VariantCanonSet,
+		InstanceDependent: true,
 		Knobs: core.Knobs{Knobs: pbsolver.Knobs{
 			ChronoThreshold: 7, VivifyBudget: 1234, DynamicLBD: true,
 			GlueLBD: 3, ReduceInterval: 4000, RestartBase: 64,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/encode"
 	"repro/internal/pbsolver"
-	"repro/internal/sbp"
 )
 
 // ParseSBP maps a user-facing SBP name ("none", "NU", "NU+SC", ...) to its
@@ -29,28 +28,27 @@ func ParseSBP(name string) (encode.SBPKind, error) {
 	return 0, fmt.Errorf("unknown SBP %q", name)
 }
 
-// ParseSBPVariant maps a user-facing SBP-variant name to its enum value:
-// "full" (or empty) or "canonset". The names of the removed involution
-// and race variants ("involution", "inv", "race") stay accepted as
-// aliases of "full", so requests that name them keep working; the
-// variant never changes an answer.
-func ParseSBPVariant(name string) (sbp.Variant, error) {
+// ParseSBPVariant checks a user-facing SBP-variant name. The predicate
+// layer has one lex-leader construction, "full"; the names of the removed
+// variants ("canonset", "canon", "involution", "inv", "race") and the
+// empty string stay accepted as aliases of it, so older requests keep
+// working. Any other name is an error.
+func ParseSBPVariant(name string) error {
 	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "full", "involution", "inv", "race":
-		return sbp.VariantFull, nil
-	case "canonset", "canon":
-		return sbp.VariantCanonSet, nil
+	case "", "full", "canonset", "canon", "involution", "inv", "race":
+		return nil
 	}
-	return 0, fmt.Errorf("unknown SBP variant %q", name)
+	return fmt.Errorf("unknown SBP variant %q", name)
 }
 
 // ParseSBPSpec parses the gcolor -sbp flag's combined syntax: a
 // comma-separated list mixing at most one instance-independent
 // construction name (ParseSBP) with at most one variant name
-// (ParseSBPVariant), in any order. A bare variant ("canonset") keeps
-// SBPNone; a bare kind ("NU") keeps VariantFull; "NU,canonset" sets both.
-func ParseSBPSpec(s string) (encode.SBPKind, sbp.Variant, error) {
-	kind, variant := encode.SBPNone, sbp.VariantFull
+// (ParseSBPVariant), in any order, and returns the construction (SBPNone
+// when only a variant is named). Every variant name selects the one
+// lex-leader construction, so only its validity matters.
+func ParseSBPSpec(s string) (encode.SBPKind, error) {
+	kind := encode.SBPNone
 	kindSet, variantSet := false, false
 	for _, tok := range strings.Split(s, ",") {
 		if strings.TrimSpace(tok) == "" {
@@ -58,21 +56,20 @@ func ParseSBPSpec(s string) (encode.SBPKind, sbp.Variant, error) {
 		}
 		if k, err := ParseSBP(tok); err == nil {
 			if kindSet {
-				return 0, 0, fmt.Errorf("duplicate SBP kind %q", tok)
+				return 0, fmt.Errorf("duplicate SBP kind %q", tok)
 			}
 			kind, kindSet = k, true
 			continue
 		}
-		v, err := ParseSBPVariant(tok)
-		if err != nil {
-			return 0, 0, fmt.Errorf("unknown SBP kind or variant %q", strings.TrimSpace(tok))
+		if err := ParseSBPVariant(tok); err != nil {
+			return 0, fmt.Errorf("unknown SBP kind or variant %q", strings.TrimSpace(tok))
 		}
 		if variantSet {
-			return 0, 0, fmt.Errorf("duplicate SBP variant %q", tok)
+			return 0, fmt.Errorf("duplicate SBP variant %q", tok)
 		}
-		variant, variantSet = v, true
+		variantSet = true
 	}
-	return kind, variant, nil
+	return kind, nil
 }
 
 // ParseEngine maps a user-facing engine name to its configuration.

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,16 +12,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
-	"repro/internal/sbp"
 	"repro/internal/solverutil"
 	"repro/internal/store"
 	"repro/internal/testutil"
 )
 
-// TestSBPVariantsShareCacheEntries: both SBP variants are sound partial
-// breaks of the same symmetry group, so the variant knob must be excluded
-// from the cache key — two submissions of one graph differing only in
-// SBPVariant share a single solver run.
+// TestSBPVariantsShareCacheEntries: an "sbp_variant" key in a stored spec
+// (journals hold 1, 2 or 3) decodes to the same spec as no key at all, so
+// the variant never splits the cache — four submissions of one graph
+// share a single solver run.
 func TestSBPVariantsShareCacheEntries(t *testing.T) {
 	runs := 0
 	svc := New(Config{Workers: 1, Solve: func(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
@@ -31,8 +33,12 @@ func TestSBPVariantsShareCacheEntries(t *testing.T) {
 	defer svc.Close()
 
 	g := graph.Random("sbpshared", 12, 30, 9)
-	submitAndWait := func(spec JobSpec) *Result {
-		t.Helper()
+	var first *Result
+	for i, variant := range []string{"", `,"sbp_variant":1`, `,"sbp_variant":2`, `,"sbp_variant":3`} {
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(`{"k":6,"instance_dependent":true`+variant+`}`), &spec); err != nil {
+			t.Fatal(err)
+		}
 		id, err := svc.Submit(g, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -44,36 +50,32 @@ func TestSBPVariantsShareCacheEntries(t *testing.T) {
 		if info.Result == nil {
 			t.Fatalf("job %s finished %s without result", id, info.State)
 		}
-		return info.Result
-	}
-
-	first := submitAndWait(JobSpec{K: 6, InstanceDependent: true, SBPVariant: sbp.VariantFull})
-	res := submitAndWait(JobSpec{K: 6, InstanceDependent: true, SBPVariant: sbp.VariantCanonSet})
-	if !res.CacheHit {
-		t.Fatal("canonset missed the cache; the SBP variant must not be part of the key")
-	}
-	if res.Chi != first.Chi {
-		t.Fatalf("canonset: cached chi=%d, original chi=%d", res.Chi, first.Chi)
+		if i == 0 {
+			first = info.Result
+			continue
+		}
+		if !info.Result.CacheHit {
+			t.Fatalf("spec with %q missed the cache; the SBP variant must not be part of the key", variant)
+		}
+		if info.Result.Chi != first.Chi {
+			t.Fatalf("spec with %q: cached chi=%d, original chi=%d", variant, info.Result.Chi, first.Chi)
+		}
 	}
 	if runs != 1 {
-		t.Fatalf("solver ran %d times across 2 variant submissions, want 1", runs)
+		t.Fatalf("solver ran %d times across 4 variant submissions, want 1", runs)
 	}
 }
 
 // TestSBPVariantStatsAggregation: Stats.SBPVariants folds each solver
-// run's emitted-predicate counters into its variant's row; outcomes whose
-// predicate layer never ran contribute nothing.
+// run's emitted-predicate counters into its one row, "full"; outcomes
+// whose predicate layer never ran contribute nothing.
 func TestSBPVariantStatsAggregation(t *testing.T) {
 	svc := New(Config{Workers: 1, Solve: func(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
 		col, k := greedyColor(g)
 		out := core.Outcome{Instance: g.Name(), Chi: k, Coloring: col}
 		out.Result.Status = pbsolver.StatusOptimal
 		if spec.InstanceDependent {
-			out.Sym = &core.SymmetryStats{
-				Variant:        spec.SBPVariant,
-				PredicatePerms: 3,
-				AddedCNF:       40,
-			}
+			out.Sym = &core.SymmetryStats{PredicatePerms: 3, AddedCNF: 40}
 		}
 		return out
 	}})
@@ -91,38 +93,37 @@ func TestSBPVariantStatsAggregation(t *testing.T) {
 		}
 	}
 
+	if rows := svc.Stats().SBPVariants; rows != nil {
+		t.Fatalf("stats rows before any predicate layer ran = %v, want none", rows)
+	}
 	// Distinct K values force distinct cache entries, so each submission
 	// is a real solver run.
-	submit(JobSpec{K: 5, InstanceDependent: true, SBPVariant: sbp.VariantFull})
-	submit(JobSpec{K: 6, InstanceDependent: true, SBPVariant: sbp.VariantFull})
-	submit(JobSpec{K: 7, InstanceDependent: true, SBPVariant: sbp.VariantCanonSet})
+	submit(JobSpec{K: 5, InstanceDependent: true})
+	submit(JobSpec{K: 6, InstanceDependent: true})
+	submit(JobSpec{K: 7, InstanceDependent: true})
 	submit(JobSpec{K: 8}) // no predicate layer: must not count in the full row
 
 	st := svc.Stats()
-	if got := st.SBPVariants["full"]; got.Runs != 2 || got.Perms != 6 || got.Clauses != 80 {
-		t.Fatalf("full row = %+v, want runs=2 perms=6 clauses=80", got)
+	if got := st.SBPVariants["full"]; got.Runs != 3 || got.Perms != 9 || got.Clauses != 120 {
+		t.Fatalf("full row = %+v, want runs=3 perms=9 clauses=120", got)
 	}
-	if got := st.SBPVariants["canonset"]; got.Runs != 1 || got.Perms != 3 || got.Clauses != 40 {
-		t.Fatalf("canonset row = %+v, want runs=1 perms=3 clauses=40", got)
-	}
-	if len(st.SBPVariants) != 2 {
-		t.Fatalf("stats rows = %v, want only full and canonset", st.SBPVariants)
+	if len(st.SBPVariants) != 1 {
+		t.Fatalf("stats rows = %v, want only full", st.SBPVariants)
 	}
 }
 
-// TestSBPVariantRaceEndToEnd runs the real solve flow with the variant
-// named "race", now an alias of full: the job must return the brute-force
-// optimum and report full in its result and in Stats.
+// TestSBPVariantRaceEndToEnd runs the real solve flow for a request whose
+// variant is named "race", an alias of full: the job must return the
+// brute-force optimum and report full in its result and in Stats.
 func TestSBPVariantRaceEndToEnd(t *testing.T) {
 	svc := New(Config{Workers: 1, DefaultTimeout: 30 * time.Second})
 	defer svc.Close()
 	g := graph.Random("sbprace", 8, 16, 2)
 	chi := testutil.BruteForceChromatic(g)
-	variant, err := ParseSBPVariant("race")
-	if err != nil {
+	if err := ParseSBPVariant("race"); err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(g, JobSpec{K: 8, InstanceDependent: true, SBPVariant: variant})
+	id, err := svc.Submit(g, JobSpec{K: 8, InstanceDependent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,42 +137,47 @@ func TestSBPVariantRaceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestJournalReplaysRemovedSBPVariantsAsFull: journal entries that hold
-// the removed involution (1) and race (3) variants, as older builds wrote
-// them, replay as full and reach the brute-force optimum.
+// TestJournalReplaysRemovedSBPVariantsAsFull: journal entries whose spec
+// holds an "sbp_variant" of 1, 2 or 3 (the removed involution, canonset
+// and race variants, as older builds wrote them) replay under the one
+// construction and reach the brute-force optimum.
 func TestJournalReplaysRemovedSBPVariantsAsFull(t *testing.T) {
 	dir := t.TempDir()
-	jr, err := OpenDiskJournal(dir, store.Options{}, nil)
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.Random("legacy", 8, 16, 2)
 	chi := testutil.BruteForceChromatic(g)
-	legacy := map[string]JobSpec{
-		// Distinct K values keep the two jobs from sharing a cache entry.
-		"job-1": {K: 7, InstanceDependent: true, SBPVariant: 1},
-		"job-2": {K: 8, InstanceDependent: true, SBPVariant: 3},
-	}
-	for id, spec := range legacy {
-		e := JournalEntry{ID: id, Name: g.Name(), N: g.N(), Edges: g.Edges(), Spec: spec, Submitted: time.Now()}
-		if err := jr.Record(e); err != nil {
+	// Distinct K values keep the jobs from sharing a cache entry.
+	legacy := map[string]int{"job-1": 7, "job-2": 8, "job-3": 9}
+	for id, k := range legacy {
+		e := JournalEntry{ID: id, Name: g.Name(), N: g.N(), Edges: g.Edges(),
+			Spec: JobSpec{K: k, InstanceDependent: true}, Submitted: time.Now()}
+		raw, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		variant := fmt.Sprintf(`"instance_dependent":true,"sbp_variant":%s`, strings.TrimPrefix(id, "job-"))
+		raw = []byte(strings.Replace(string(raw), `"instance_dependent":true`, variant, 1))
+		if err := st.Put(id, raw); err != nil {
 			t.Fatal(err)
 		}
 	}
-	jr.Close() // the crash: entries never marked done
+	st.Close() // the crash: entries never marked done
 
-	jr2, err := OpenDiskJournal(dir, store.Options{}, nil)
+	jr, err := OpenDiskJournal(dir, store.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Config{Workers: 1, DefaultTimeout: 30 * time.Second, Journal: jr2})
+	svc := New(Config{Workers: 1, DefaultTimeout: 30 * time.Second, Journal: jr})
 	defer svc.Close()
-	for id, spec := range legacy {
+	for id, k := range legacy {
 		info, err := svc.Wait(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFullResult(t, g, chi, spec.K, info)
+		checkFullResult(t, g, chi, k, info)
 	}
 }
 
@@ -188,7 +194,7 @@ func checkFullResult(t *testing.T, g *graph.Graph, chi, k int, info JobInfo) {
 	if err := testutil.CheckColoring(g, info.Result.Coloring, k); err != nil {
 		t.Fatal(err)
 	}
-	if got := info.Result.SBPVariant; got != sbp.VariantFull.String() {
+	if got := info.Result.SBPVariant; got != "full" {
 		t.Fatalf("job %s: sbp_variant = %q, want full", info.ID, got)
 	}
 }

@@ -71,11 +71,13 @@ func (e *PanicError) Error() string { return "service: solver panic: " + e.Value
 // fields are part of the cache key — K, SBP, Engine, Portfolio and
 // InstanceDependent — so two jobs share a result only when their
 // canonical graph forms and those fields agree. Every other field is left
-// out (see cacheKey): Timeout, the admission fields (Priority, Deadline),
-// SBPVariant and the search knobs of core.Knobs. They change how fast a
-// definitive answer arrives, never which answer, so differently tuned
-// submissions share results; only definitive (budget-independent) results
-// are ever cached.
+// out (see cacheKey): Timeout, the admission fields (Priority, Deadline)
+// and the search knobs of core.Knobs. They change how fast a definitive
+// answer arrives, never which answer, so differently tuned submissions
+// share results; only definitive (budget-independent) results are ever
+// cached. Decoding ignores unknown keys, so journal entries that still
+// hold an "sbp_variant" (1, 2 or 3) replay under the one lex-leader
+// construction.
 type JobSpec struct {
 	// K is the color bound (0 = max degree + 1, as in core.Solve).
 	K int `json:"k"`
@@ -87,13 +89,6 @@ type JobSpec struct {
 	Portfolio bool `json:"portfolio"`
 	// InstanceDependent adds lex-leader SBPs for detected symmetries.
 	InstanceDependent bool `json:"instance_dependent"`
-	// SBPVariant selects the lex-leader construction of the predicate
-	// layer: full detected-generator break (default) or precomputed
-	// canonizing set (see sbp.Variant). Both are sound partial breaks of
-	// the same group — the knob changes solve speed, never the answer — so
-	// it is excluded from the cache key and differently configured
-	// submissions share results.
-	SBPVariant sbp.Variant `json:"sbp_variant,omitempty"`
 	// Timeout bounds this job's solve; 0 = the service default.
 	Timeout time.Duration `json:"timeout"`
 	// Priority is the admission class, 0 (normal) to MaxPriority (most
@@ -159,9 +154,9 @@ type Result struct {
 	Coloring []int `json:"coloring,omitempty"`
 	// Winner is the engine that produced the result (portfolio runs).
 	Winner string `json:"winner,omitempty"`
-	// SBPVariant is the symmetry-breaking construction the solve emitted
-	// predicates under ("full" or "canonset"). Empty when no predicate
-	// layer ran or the result came from the cache.
+	// SBPVariant names the symmetry-breaking construction the solve
+	// emitted predicates under (always sbp.VariantName, "full"). Empty
+	// when no predicate layer ran or the result came from the cache.
 	SBPVariant string `json:"sbp_variant,omitempty"`
 	// Runtime is the solver wall-clock time (the original solve's, for
 	// cache hits).
@@ -218,10 +213,10 @@ type Stats struct {
 	// key still receive the result: an equal key in-process always means
 	// isomorphic graphs.)
 	InexactSkips int64 `json:"inexact_skips"`
-	// SBPVariants aggregates predicate emission per SBP variant across all
-	// solver runs whose symmetry-breaking layer ran: run count, lex-leader
-	// permutations emitted, and CNF clauses added. Keyed by variant wire
-	// name ("full" or "canonset").
+	// SBPVariants aggregates predicate emission across all solver runs
+	// whose symmetry-breaking layer ran: run count, lex-leader
+	// permutations emitted, and CNF clauses added. Its one row is keyed
+	// "full" (sbp.VariantName) and appears once that layer has run.
 	SBPVariants map[string]SBPVariantStats `json:"sbp_variants,omitempty"`
 	// CanonGenerators / CanonOrbitPrunes / CanonPrefixPrunes report the
 	// automorphism discovery fused into the canonical labeling search:
@@ -268,13 +263,13 @@ type Stats struct {
 	JournalPending int     `json:"journal_pending,omitempty"`
 }
 
-// SBPVariantStats is one row of Stats.SBPVariants: the cumulative
-// symmetry-breaking work done under one SBP variant.
+// SBPVariantStats is the row of Stats.SBPVariants: the cumulative
+// symmetry-breaking work of the predicate layer.
 type SBPVariantStats struct {
-	// Runs counts solver runs that emitted predicates under this variant.
+	// Runs counts solver runs that emitted predicates.
 	Runs int64 `json:"runs"`
-	// Perms counts lex-leader permutations actually emitted (after variant
-	// filtering and verification).
+	// Perms counts lex-leader permutations actually emitted (after
+	// verification).
 	Perms int64 `json:"perms"`
 	// Clauses counts the CNF clauses those predicates added.
 	Clauses int64 `json:"clauses"`
@@ -302,8 +297,8 @@ func defaultSolve(progressInterval time.Duration) SolveFunc {
 	return func(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
 		return core.Solve(ctx, g, core.Config{
 			K: spec.K, SBP: spec.SBP, Engine: spec.Engine, Portfolio: spec.Portfolio,
-			InstanceDependent: spec.InstanceDependent, SBPVariant: spec.SBPVariant,
-			GraphGens: sym, Timeout: spec.Timeout, Knobs: spec.Knobs,
+			InstanceDependent: spec.InstanceDependent, GraphGens: sym,
+			Timeout: spec.Timeout, Knobs: spec.Knobs,
 			Progress: progress, ProgressInterval: progressInterval,
 		})
 	}
@@ -424,7 +419,10 @@ type job struct {
 	prog     Progress
 	progWake chan struct{}
 
-	done chan struct{}
+	// done is closed when the job turns terminal (Wait returns), recorded
+	// just after, once the flight recorder holds the job's trace.
+	done     chan struct{}
+	recorded chan struct{}
 }
 
 // Progress is a live view of a running job's search, assembled from the
@@ -516,9 +514,9 @@ type Service struct {
 	// tenants holds per-tenant admission state (token bucket, in-flight
 	// count, counters), created on first submission.
 	tenants map[string]*tenantState
-	// sbpVariants aggregates per-variant predicate emission (guarded by
-	// mu), keyed by variant wire name; see Stats.SBPVariants.
-	sbpVariants map[string]*SBPVariantStats
+	// sbpStats aggregates predicate emission (guarded by mu); see
+	// Stats.SBPVariants.
+	sbpStats SBPVariantStats
 	// Queue-wait histogram: one count per QueueWaitBucketsMS bound plus
 	// the +Inf overflow bucket.
 	queueWaitBuckets []int64
@@ -585,7 +583,6 @@ func New(cfg Config) *Service {
 		jobs:             make(map[string]*job),
 		inflight:         make(map[string]*entry),
 		tenants:          make(map[string]*tenantState),
-		sbpVariants:      make(map[string]*SBPVariantStats),
 		queueWaitBuckets: make([]int64, len(QueueWaitBucketsMS)+1),
 	}
 	if cfg.TraceKeep >= 0 {
@@ -651,19 +648,13 @@ func (s *Service) replayJob(e JournalEntry) {
 			}
 		}
 	}
-	spec := e.Spec
-	if spec.SBPVariant != sbp.VariantCanonSet {
-		// Older journals may hold the removed involution (1) and race (3)
-		// variants; both run as full, the variant their names now alias.
-		spec.SBPVariant = sbp.VariantFull
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		id:         e.ID,
 		tenant:     tenant,
 		name:       e.Name,
 		g:          e.Graph(),
-		spec:       spec,
+		spec:       e.Spec,
 		ctx:        ctx,
 		cancel:     cancel,
 		seq:        seq,
@@ -674,6 +665,7 @@ func (s *Service) replayJob(e JournalEntry) {
 		phase:      "queued",
 		progWake:   make(chan struct{}),
 		done:       make(chan struct{}),
+		recorded:   make(chan struct{}),
 	}
 	s.mu.Lock()
 	if _, dup := s.jobs[j.id]; dup {
@@ -747,6 +739,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 		phase:     "queued",
 		progWake:  make(chan struct{}),
 		done:      make(chan struct{}),
+		recorded:  make(chan struct{}),
 	}
 	if spec.Deadline > 0 {
 		j.deadlineAt = now.Add(spec.Deadline)
@@ -914,11 +907,8 @@ func (s *Service) Stats() Stats {
 		tenants[name] = TenantStats{Accepts: ts.accepts, Rejects: ts.rejects, InFlight: ts.inFlight}
 	}
 	var sbpVariants map[string]SBPVariantStats
-	if len(s.sbpVariants) > 0 {
-		sbpVariants = make(map[string]SBPVariantStats, len(s.sbpVariants))
-		for name, st := range s.sbpVariants {
-			sbpVariants[name] = *st
-		}
+	if s.sbpStats.Runs > 0 {
+		sbpVariants = map[string]SBPVariantStats{sbp.VariantName: s.sbpStats}
 	}
 	hist := Histogram{
 		Count:   s.queueWaitCount,
@@ -1324,27 +1314,21 @@ func (s *Service) runSolverOutcome(ctx context.Context, j *job, sym []autom.Perm
 			out = s.solve(ctx, j.g, j.spec, sym, progress)
 		})
 	s.solverRuns.Add(1)
-	s.noteSBPVariant(out)
+	s.noteSBP(out)
 	return out, nil
 }
 
-// noteSBPVariant folds one outcome's symmetry-breaking work into the
-// per-variant aggregates. Outcomes whose predicate layer never ran (Sym
-// nil) contribute nothing.
-func (s *Service) noteSBPVariant(out core.Outcome) {
+// noteSBP folds one outcome's symmetry-breaking work into the
+// aggregates. Outcomes whose predicate layer never ran (Sym nil)
+// contribute nothing.
+func (s *Service) noteSBP(out core.Outcome) {
 	if out.Sym == nil {
 		return
 	}
-	name := out.Sym.Variant.String()
 	s.mu.Lock()
-	st := s.sbpVariants[name]
-	if st == nil {
-		st = &SBPVariantStats{}
-		s.sbpVariants[name] = st
-	}
-	st.Runs++
-	st.Perms += int64(out.Sym.PredicatePerms)
-	st.Clauses += int64(out.Sym.AddedCNF)
+	s.sbpStats.Runs++
+	s.sbpStats.Perms += int64(out.Sym.PredicatePerms)
+	s.sbpStats.Clauses += int64(out.Sym.AddedCNF)
 	s.mu.Unlock()
 }
 
@@ -1423,13 +1407,23 @@ func (s *Service) TracingEnabled() bool { return s.recorder != nil }
 // Trace returns the completed span tree for one job. ErrNoSuchJob when the
 // id is unknown; ErrNoTrace when the job exists but no completed trace is
 // available (still running, evicted from the recorder, or tracing off).
+// For a terminal job it first waits until finish has recorded the trace,
+// so a Trace call made after Wait returns always finds it.
 func (s *Service) Trace(id string) (*obs.TraceView, error) {
+	s.mu.Lock()
+	j, known := s.jobs[id]
+	s.mu.Unlock()
+	if known {
+		j.mu.Lock()
+		terminal := !j.finished.IsZero()
+		j.mu.Unlock()
+		if terminal {
+			<-j.recorded
+		}
+	}
 	if v, ok := s.recorder.Trace(id); ok {
 		return v, nil
 	}
-	s.mu.Lock()
-	_, known := s.jobs[id]
-	s.mu.Unlock()
 	if !known {
 		return nil, ErrNoSuchJob
 	}
@@ -1525,6 +1519,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.queueSpan.End()
 	j.rootSpan.End(obs.String("outcome", state.String()))
 	s.recorder.Record(j.trace)
+	close(j.recorded)
 
 	// One structured record per finished job: who, what, how long it
 	// waited and ran, and how it ended. With tracing on, the per-phase
@@ -1601,7 +1596,7 @@ func resultFromOutcome(out core.Outcome, spec JobSpec, canonExact bool) *Result 
 		CanonExact:       canonExact,
 	}
 	if out.Sym != nil {
-		res.SBPVariant = out.Sym.Variant.String()
+		res.SBPVariant = sbp.VariantName
 	}
 	if out.Par != nil {
 		res.ParWorkers = out.Par.Workers

@@ -6,10 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autom"
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/graph"
-	"repro/internal/obs"
+	"repro/internal/solverutil"
 )
 
 // TestParallelSolveTraceShape drives a real cube-and-conquer solve and
@@ -33,7 +34,10 @@ func TestParallelSolveTraceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tv := waitTrace(t, svc, id)
+	tv, err := svc.Trace(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tv.Spans) != 1 || tv.Spans[0].Name != "job" {
 		t.Fatalf("want one root span named job, got %+v", tv.Spans)
 	}
@@ -98,7 +102,10 @@ func TestConcurrentJobsTraceIsolation(t *testing.T) {
 	wg.Wait()
 
 	for _, id := range ids {
-		tv := waitTrace(t, svc, id)
+		tv, err := svc.Trace(id)
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
 		if tv.JobID != id {
 			t.Fatalf("trace for %s claims job %s", id, tv.JobID)
 		}
@@ -111,19 +118,25 @@ func TestConcurrentJobsTraceIsolation(t *testing.T) {
 	}
 }
 
-// waitTrace polls the recorder until the job's completed trace lands
-// (finish() records it just after the job turns terminal).
-func waitTrace(t *testing.T, svc *Service, id string) *obs.TraceView {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		tv, err := svc.Trace(id)
-		if err == nil {
-			return tv
+// TestTraceAvailableAfterWait: once Wait returns, the job's trace is
+// there — Trace waits the moment finish takes to record it rather than
+// answering ErrNoTrace.
+func TestTraceAvailableAfterWait(t *testing.T) {
+	svc := New(Config{Workers: 2, Solve: func(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
+		return core.Outcome{Instance: g.Name()}
+	}})
+	defer svc.Close()
+	g := graph.Cycle(5)
+	for i := 0; i < 300; i++ {
+		id, err := svc.Submit(g, JobSpec{K: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s: trace never recorded: %v", id, err)
+		if _, err := svc.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if _, err := svc.Trace(id); err != nil {
+			t.Fatalf("round %d: Trace(%s) after Wait: %v", i, id, err)
+		}
 	}
 }

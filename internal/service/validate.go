@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/encode"
 	"repro/internal/pbsolver"
-	"repro/internal/sbp"
 )
 
 // Validation bounds for JobSpec fields. They are deliberately generous —
@@ -78,9 +77,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.Engine < pbsolver.EnginePBS || s.Engine > pbsolver.EngineBnB {
 		add("engine", "unknown engine %d", s.Engine)
-	}
-	if s.SBPVariant != sbp.VariantFull && s.SBPVariant != sbp.VariantCanonSet {
-		add("sbp_variant", "unknown SBP variant %d", s.SBPVariant)
 	}
 	if s.Timeout < 0 || s.Timeout > MaxTimeout {
 		add("timeout", "must be in [0, %v]", MaxTimeout)

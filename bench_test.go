@@ -18,10 +18,12 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/heuristic"
+	"repro/internal/pb"
 	"repro/internal/pbsolver"
 	"repro/internal/sbp"
 	"repro/internal/service"
 	"repro/internal/symgraph"
+	"repro/internal/testutil"
 )
 
 // BenchmarkTable1 regenerates the benchmark-statistics table (generation +
@@ -482,6 +484,51 @@ func BenchmarkVerifyLitPerm(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFormulaLoad times the three phases that build and load a
+// formula before any search step, on the four planted graphs e2ebench's
+// solve workload draws from (K=20, NU+SC; one op handles all four):
+// encode builds the formulas, engine loads them into a PBS session, and
+// symgraph builds their colored symmetry graphs. On instances this small
+// these phases cost about as much as the search, so allocs/op is reported
+// beside the time.
+func BenchmarkFormulaLoad(b *testing.B) {
+	graphs := testutil.PlantedGraphs()
+	formulas := make([]*pb.Formula, len(graphs))
+	for i, g := range graphs {
+		formulas[i] = encode.Build(g, 20, encode.SBPNUSC).F
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, g := range graphs {
+				if encode.Build(g, 20, encode.SBPNUSC).F.NumVars == 0 {
+					b.Fatal("empty formula")
+				}
+			}
+		}
+	})
+	b.Run("engine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range formulas {
+				if pbsolver.NewSession(context.Background(), f, pbsolver.Options{}).RootUnsat() {
+					b.Fatal("formula refuted at load")
+				}
+			}
+		}
+	})
+	b.Run("symgraph", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range formulas {
+				if symgraph.Build(f).G.N() == 0 {
+					b.Fatal("empty symmetry graph")
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkServiceIsomorphicBatch pushes a batch of relabelled copies of

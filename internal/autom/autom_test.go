@@ -3,6 +3,7 @@ package autom
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -69,6 +70,27 @@ func checkGroup(t *testing.T, g *Graph, wantOrder *big.Int, name string) *Result
 		}
 	}
 	return res
+}
+
+// TestAddEdgesMatchesAddEdge: adding a batch of edges to a graph that
+// already has some gives the same adjacency lists, in the same order, as
+// adding them one by one.
+func TestAddEdgesMatchesAddEdge(t *testing.T) {
+	edges := [][2]int32{{0, 3}, {2, 1}, {4, 0}, {3, 2}, {1, 4}, {0, 2}}
+	one, batch := NewGraph(6), NewGraph(6)
+	one.AddEdge(5, 0)
+	batch.AddEdge(5, 0)
+	for _, e := range edges {
+		one.AddEdge(int(e[0]), int(e[1]))
+	}
+	batch.AddEdges(edges)
+	batch.AddEdge(5, 3) // past the sized room
+	one.AddEdge(5, 3)
+	for v := range one.adj {
+		if !slices.Equal(one.adj[v], batch.adj[v]) {
+			t.Fatalf("vertex %d: AddEdges gave %v, AddEdge %v", v, batch.adj[v], one.adj[v])
+		}
+	}
 }
 
 func TestCompleteGraphGroup(t *testing.T) {

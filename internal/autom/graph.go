@@ -42,6 +42,31 @@ func (g *Graph) AddEdge(a, b int) {
 	g.adj[b] = append(g.adj[b], int32(a))
 }
 
+// AddEdges inserts the undirected edges in order, as AddEdge would, after
+// sizing every adjacency list for them: the lists share one allocation
+// instead of growing edge by edge.
+func (g *Graph) AddEdges(edges [][2]int32) {
+	need := make([]int, g.n)
+	total := 0
+	for v, l := range g.adj {
+		need[v] = len(l)
+		total += len(l)
+	}
+	for _, e := range edges {
+		need[e[0]]++
+		need[e[1]]++
+		total += 2
+	}
+	slab := make([]int32, total)
+	for v, l := range g.adj {
+		g.adj[v] = append(slab[:0:need[v]], l...)
+		slab = slab[need[v]:]
+	}
+	for _, e := range edges {
+		g.AddEdge(int(e[0]), int(e[1]))
+	}
+}
+
 // SetColor assigns a color class to vertex v.
 func (g *Graph) SetColor(v, color int) {
 	if g.frozen {

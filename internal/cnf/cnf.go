@@ -8,8 +8,9 @@
 package cnf
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -53,22 +54,34 @@ func (c Clause) String() string {
 
 // Normalize sorts the clause, removes duplicate literals, and reports
 // whether the clause is a tautology (contains both l and ¬l). Tautological
-// clauses should be dropped by the caller.
+// clauses should be dropped by the caller. The receiver is left as it is:
+// Normalize works on a copy, and NormalizeInPlace is the same work without
+// one.
 func (c Clause) Normalize() (Clause, bool) {
 	if len(c) == 0 {
 		return c, false
 	}
-	sorted := make(Clause, len(c))
-	copy(sorted, c)
-	sort.Slice(sorted, func(i, j int) bool {
-		vi, vj := sorted[i].Var(), sorted[j].Var()
-		if vi != vj {
-			return vi < vj
+	return slices.Clone(c).NormalizeInPlace()
+}
+
+// NormalizeInPlace is Normalize in c's own storage: it sorts c by
+// variable, then ¬v before v, and returns the deduplicated prefix of c, or
+// nil and true for a tautology. A caller that normalizes clause after
+// clause copies each into one reused buffer and calls this on it.
+func (c Clause) NormalizeInPlace() (Clause, bool) {
+	switch {
+	case len(c) == 0:
+		return c, false
+	case len(c) == 2:
+		// Almost every clause of an encoding is binary.
+		if litOrder(c[1], c[0]) < 0 {
+			c[0], c[1] = c[1], c[0]
 		}
-		return sorted[i] < sorted[j]
-	})
-	out := sorted[:1]
-	for _, l := range sorted[1:] {
+	case len(c) > 2:
+		slices.SortFunc(c, litOrder)
+	}
+	out := c[:1]
+	for _, l := range c[1:] {
 		last := out[len(out)-1]
 		if l == last {
 			continue
@@ -79,6 +92,14 @@ func (c Clause) Normalize() (Clause, bool) {
 		out = append(out, l)
 	}
 	return out, false
+}
+
+// litOrder is Normalize's order: by variable, then ¬v before v.
+func litOrder(a, b Lit) int {
+	if va, vb := a.Var(), b.Var(); va != vb {
+		return cmp.Compare(va, vb)
+	}
+	return cmp.Compare(a, b)
 }
 
 // Formula is a CNF formula: a set of clauses over variables 1..NumVars.

@@ -1,6 +1,9 @@
 package cnf
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,5 +141,88 @@ func TestClauseString(t *testing.T) {
 	c := Clause{1, -2}
 	if c.String() != "(1 -2)" {
 		t.Fatalf("String = %q", c.String())
+	}
+}
+
+// referenceNormalize is Normalize as it was before the in-place rewrite:
+// copy, reflection sort by (variable, literal), then one dedup and
+// tautology scan. The property tests below hold the rewrite to it.
+func referenceNormalize(c Clause) (Clause, bool) {
+	if len(c) == 0 {
+		return c, false
+	}
+	sorted := make(Clause, len(c))
+	copy(sorted, c)
+	sort.Slice(sorted, func(i, j int) bool {
+		vi, vj := sorted[i].Var(), sorted[j].Var()
+		if vi != vj {
+			return vi < vj
+		}
+		return sorted[i] < sorted[j]
+	})
+	out := sorted[:1]
+	for _, l := range sorted[1:] {
+		last := out[len(out)-1]
+		if l == last {
+			continue
+		}
+		if l.Var() == last.Var() {
+			return nil, true
+		}
+		out = append(out, l)
+	}
+	return out, false
+}
+
+// randomClause draws a clause of the given width over variables 1..vars,
+// so a small variable range forces repeated literals and both phases.
+func randomClause(rng *rand.Rand, width, vars int) Clause {
+	c := make(Clause, width)
+	for i := range c {
+		c[i] = PosLit(1 + rng.Intn(vars))
+		if rng.Intn(2) == 0 {
+			c[i] = c[i].Neg()
+		}
+	}
+	return c
+}
+
+func sameNormalized(a Clause, aTaut bool, b Clause, bTaut bool) bool {
+	return aTaut == bTaut && (a == nil) == (b == nil) && slices.Equal(a, b)
+}
+
+// TestNormalizeMatchesReference: on seeded random clauses (empty, unit,
+// binary and long, with repeated literals, both phases of one variable and
+// tautologies) Normalize returns exactly what the reference returns and
+// leaves its input untouched.
+func TestNormalizeMatchesReference(t *testing.T) {
+	fixed := []Clause{nil, {}, {4}, {-4}, {2, 2}, {-2, 2}, {3, -1}, {-1, -1, -1}, {5, -5, 5}}
+	rng := rand.New(rand.NewSource(20040324))
+	var cases []Clause
+	cases = append(cases, fixed...)
+	for iter := 0; iter < 20000; iter++ {
+		width := rng.Intn(6)
+		if iter%4 == 0 {
+			width = rng.Intn(80)
+		}
+		cases = append(cases, randomClause(rng, width, 1+rng.Intn(3*width+2)))
+	}
+	taut := 0
+	for _, c := range cases {
+		want, wantTaut := referenceNormalize(c)
+		if wantTaut {
+			taut++
+		}
+		in := slices.Clone(c)
+		got, gotTaut := c.Normalize()
+		if !sameNormalized(got, gotTaut, want, wantTaut) {
+			t.Fatalf("Normalize(%v) = %v, %v; reference %v, %v", in, got, gotTaut, want, wantTaut)
+		}
+		if !slices.Equal(c, in) {
+			t.Fatalf("Normalize(%v) modified its input to %v", in, c)
+		}
+	}
+	if taut == 0 || taut == len(cases) {
+		t.Fatalf("%d of %d cases are tautologies; the inputs exercise only one outcome", taut, len(cases))
 	}
 }

@@ -122,6 +122,9 @@ func BuildWithOptions(g *graph.Graph, K int, kind SBPKind, opts Options) *Encodi
 	n := g.N()
 	e := &Encoding{G: g, K: K, Kind: kind}
 	f := pb.NewFormula(n*K + K)
+	// Room for the base clauses: one per exactly-one row, K per edge and
+	// n+1 per color; SBPs may add more.
+	f.Clauses = make([]cnf.Clause, 0, n+K*(g.M()+n+1))
 	e.F = f
 	e.x = make([][]int, n)
 	for i := 0; i < n; i++ {

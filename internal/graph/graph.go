@@ -7,7 +7,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -98,11 +100,11 @@ func (g *Graph) Edges() [][2]int {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	slices.SortFunc(out, func(x, y [2]int) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
 		}
-		return out[i][1] < out[j][1]
+		return cmp.Compare(x[1], y[1])
 	})
 	return out
 }

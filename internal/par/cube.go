@@ -175,8 +175,19 @@ func newProp(numVars int, clauses []cnf.Clause, constraints []pb.Constraint) *pr
 		pbcPos: make([][]int32, numVars+1),
 		pbcNeg: make([][]int32, numVars+1),
 	}
+	// Every clause is normalized in place at the tail of one slab sized to
+	// the formula's literal count, so the slab never moves and each kept
+	// clause is a slice of it.
+	total := 0
 	for _, cl := range clauses {
-		norm, taut := cl.Normalize()
+		total += len(cl)
+	}
+	slab := make(cnf.Clause, 0, total)
+	for _, cl := range clauses {
+		start := len(slab)
+		slab = append(slab, cl...)
+		norm, taut := slab[start:].NormalizeInPlace()
+		slab = slab[:start+len(norm)]
 		if taut {
 			continue
 		}

@@ -13,8 +13,10 @@
 package pb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/cnf"
@@ -60,67 +62,80 @@ type Constraint struct {
 // satisfied; a constraint with Bound > Σ coefficients is trivially false and
 // returned as-is so solvers detect the conflict.
 func Normalize(terms []Term, cmp Comparator, bound int) []Constraint {
-	switch cmp {
-	case GE:
-		c := normalizeGE(terms, bound)
-		if c == nil {
-			return nil
+	if cmp < GE || cmp > EQ {
+		panic(fmt.Sprintf("pb: unknown comparator %d", cmp))
+	}
+	var out []Constraint
+	if cmp != LE {
+		if c := normalizeGE(terms, false, bound); c != nil {
+			out = append(out, *c)
 		}
-		return []Constraint{*c}
-	case LE:
+	}
+	if cmp != GE {
 		// Σ ai*li <= b  ⇔  Σ ai*¬li >= Σai − b
-		flipped := make([]Term, len(terms))
 		sum := 0
-		for i, t := range terms {
-			flipped[i] = Term{Coef: t.Coef, Lit: t.Lit.Neg()}
+		for _, t := range terms {
 			sum += t.Coef
 		}
-		c := normalizeGE(flipped, sum-bound)
-		if c == nil {
-			return nil
+		if c := normalizeGE(terms, true, sum-bound); c != nil {
+			out = append(out, *c)
 		}
-		return []Constraint{*c}
-	case EQ:
-		out := Normalize(terms, GE, bound)
-		out = append(out, Normalize(terms, LE, bound)...)
-		return out
 	}
-	panic(fmt.Sprintf("pb: unknown comparator %d", cmp))
+	return out
 }
 
-// normalizeGE brings Σ terms >= bound into normalized form: merges repeated
-// variables, removes zero coefficients, and flips negative coefficients via
-// −a*l = a*¬l − a. Returns nil when the constraint is trivially true.
-func normalizeGE(terms []Term, bound int) *Constraint {
-	// Merge terms on the same variable, folding phases onto the positive
-	// literal: a*¬x = a − a*x.
-	coefByVar := map[int]int{}
-	order := []int{}
-	for _, t := range terms {
+// varTerm is one non-zero term folded onto its variable's positive
+// literal, with its position in the input row.
+type varTerm struct {
+	v, coef, pos int
+}
+
+// normalizeGE brings Σ terms >= bound, with every literal negated when neg
+// is set, into normalized form: merges repeated variables, removes zero
+// coefficients, and flips negative coefficients via −a*l = a*¬l − a. The
+// terms keep the order in which their variables first appear. Returns nil
+// when the constraint is trivially true.
+func normalizeGE(terms []Term, neg bool, bound int) *Constraint {
+	// Fold phases onto the positive literal: a*¬x = a − a*x.
+	vts := make([]varTerm, 0, len(terms))
+	for i, t := range terms {
 		if t.Coef == 0 {
 			continue
 		}
-		v := t.Lit.Var()
-		if _, seen := coefByVar[v]; !seen {
-			order = append(order, v)
+		l := t.Lit
+		if neg {
+			l = l.Neg()
 		}
-		if t.Lit.Sign() {
-			coefByVar[v] += t.Coef
-		} else {
-			coefByVar[v] -= t.Coef
+		a := t.Coef
+		if !l.Sign() {
+			a = -a
 			bound -= t.Coef
 		}
+		vts = append(vts, varTerm{v: l.Var(), coef: a, pos: i})
 	}
-	out := Constraint{}
-	for _, v := range order {
-		a := coefByVar[v]
+	// Merge each variable's terms into its first one: the stable sort keeps
+	// the first-seen term at the head of its variable's run. Sorting by
+	// position then restores first-seen order. A row may hold 2n terms (CA
+	// rows), so neither step scans the row per term.
+	slices.SortStableFunc(vts, func(a, b varTerm) int { return cmp.Compare(a.v, b.v) })
+	merged := vts[:0]
+	for _, vt := range vts {
+		if last := len(merged) - 1; last >= 0 && merged[last].v == vt.v {
+			merged[last].coef += vt.coef
+			continue
+		}
+		merged = append(merged, vt)
+	}
+	slices.SortFunc(merged, func(a, b varTerm) int { return cmp.Compare(a.pos, b.pos) })
+	out := Constraint{Terms: make([]Term, 0, len(merged))}
+	for _, vt := range merged {
 		switch {
-		case a > 0:
-			out.Terms = append(out.Terms, Term{Coef: a, Lit: cnf.PosLit(v)})
-		case a < 0:
+		case vt.coef > 0:
+			out.Terms = append(out.Terms, Term{Coef: vt.coef, Lit: cnf.PosLit(vt.v)})
+		case vt.coef < 0:
 			// −a*x >= b  ⇔  −a(1−¬x) ... fold onto negative literal.
-			out.Terms = append(out.Terms, Term{Coef: -a, Lit: cnf.NegLit(v)})
-			bound -= a // bound += |a|
+			out.Terms = append(out.Terms, Term{Coef: -vt.coef, Lit: cnf.NegLit(vt.v)})
+			bound -= vt.coef // bound += |a|
 		}
 	}
 	if bound <= 0 {
@@ -189,13 +204,16 @@ func (c *Constraint) Signature() string {
 	for i, t := range c.Terms {
 		coefs[i] = t.Coef
 	}
-	sort.Ints(coefs)
-	var b strings.Builder
-	fmt.Fprintf(&b, ">=%d:", c.Bound)
+	slices.Sort(coefs)
+	b := make([]byte, 0, 8+4*len(coefs))
+	b = append(b, ">="...)
+	b = strconv.AppendInt(b, int64(c.Bound), 10)
+	b = append(b, ':')
 	for _, a := range coefs {
-		fmt.Fprintf(&b, "%d,", a)
+		b = strconv.AppendInt(b, int64(a), 10)
+		b = append(b, ',')
 	}
-	return b.String()
+	return string(b)
 }
 
 func (c *Constraint) String() string {
@@ -249,11 +267,12 @@ func (f *Formula) AddImplication(a, b cnf.Lit) { f.AddClause(a.Neg(), b) }
 func (f *Formula) AddPB(terms []Term, cmp Comparator, bound int) {
 	for _, c := range Normalize(terms, cmp, bound) {
 		if c.IsClause() {
-			lits := make([]cnf.Lit, len(c.Terms))
+			lits := make(cnf.Clause, len(c.Terms))
 			for i, t := range c.Terms {
 				lits[i] = t.Lit
 			}
-			f.AddClause(lits...)
+			f.Clauses = append(f.Clauses, lits)
+			f.track(lits...)
 			continue
 		}
 		f.Constraints = append(f.Constraints, c)

@@ -2,6 +2,7 @@ package pb
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -280,5 +281,148 @@ func TestNormalizedShapeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceNormalizeGE is normalizeGE as it was before the sort-based
+// rewrite: a per-row map merges the terms of each variable, and a
+// first-seen list fixes the output order. The property tests below hold
+// the rewrite to it.
+func referenceNormalizeGE(terms []Term, bound int) *Constraint {
+	coefByVar := map[int]int{}
+	order := []int{}
+	for _, t := range terms {
+		if t.Coef == 0 {
+			continue
+		}
+		v := t.Lit.Var()
+		if _, seen := coefByVar[v]; !seen {
+			order = append(order, v)
+		}
+		if t.Lit.Sign() {
+			coefByVar[v] += t.Coef
+		} else {
+			coefByVar[v] -= t.Coef
+			bound -= t.Coef
+		}
+	}
+	out := Constraint{}
+	for _, v := range order {
+		a := coefByVar[v]
+		switch {
+		case a > 0:
+			out.Terms = append(out.Terms, Term{Coef: a, Lit: cnf.PosLit(v)})
+		case a < 0:
+			out.Terms = append(out.Terms, Term{Coef: -a, Lit: cnf.NegLit(v)})
+			bound -= a
+		}
+	}
+	if bound <= 0 {
+		return nil
+	}
+	for i := range out.Terms {
+		if out.Terms[i].Coef > bound {
+			out.Terms[i].Coef = bound
+		}
+	}
+	out.Bound = bound
+	return &out
+}
+
+// referenceNormalize is Normalize over referenceNormalizeGE.
+func referenceNormalize(terms []Term, cmp Comparator, bound int) []Constraint {
+	var out []Constraint
+	switch cmp {
+	case GE:
+		if c := referenceNormalizeGE(terms, bound); c != nil {
+			out = append(out, *c)
+		}
+	case LE:
+		flipped := make([]Term, len(terms))
+		sum := 0
+		for i, t := range terms {
+			flipped[i] = Term{Coef: t.Coef, Lit: t.Lit.Neg()}
+			sum += t.Coef
+		}
+		if c := referenceNormalizeGE(flipped, sum-bound); c != nil {
+			out = append(out, *c)
+		}
+	case EQ:
+		out = append(referenceNormalize(terms, GE, bound), referenceNormalize(terms, LE, bound)...)
+	}
+	return out
+}
+
+func sameConstraints(a, b []Constraint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Bound != b[i].Bound || !slices.Equal(a[i].Terms, b[i].Terms) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkNormalizeMatchesReference compares Normalize with the reference on
+// one row under all three comparators and checks the input is untouched.
+func checkNormalizeMatchesReference(t *testing.T, terms []Term, bound int) {
+	t.Helper()
+	in := slices.Clone(terms)
+	for _, cmp := range []Comparator{GE, LE, EQ} {
+		got := Normalize(terms, cmp, bound)
+		if want := referenceNormalize(in, cmp, bound); !sameConstraints(got, want) {
+			t.Fatalf("Normalize(%v %v %d) = %v; reference %v", in, cmp, bound, got, want)
+		}
+		if !slices.Equal(terms, in) {
+			t.Fatalf("Normalize(%v %v %d) modified its input to %v", in, cmp, bound, terms)
+		}
+	}
+}
+
+// TestNormalizeMatchesReference: on seeded random rows with zero,
+// negative and repeated coefficients, repeated variables in both phases,
+// and lengths past the small-sort cutoff, Normalize returns exactly the
+// reference's rows: the same terms in the same order and the same bounds.
+func TestNormalizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20040324))
+	checkNormalizeMatchesReference(t, nil, 0)
+	checkNormalizeMatchesReference(t, nil, 1)
+	for iter := 0; iter < 5000; iter++ {
+		nt := rng.Intn(8)
+		if iter%4 == 0 {
+			nt = rng.Intn(120)
+		}
+		nv := 1 + rng.Intn(nt+2)
+		terms := make([]Term, nt)
+		for i := range terms {
+			l := cnf.PosLit(1 + rng.Intn(nv))
+			if rng.Intn(2) == 0 {
+				l = l.Neg()
+			}
+			terms[i] = Term{Coef: rng.Intn(9) - 4, Lit: l}
+		}
+		checkNormalizeMatchesReference(t, terms, rng.Intn(2*nt+3)-nt/2-1)
+	}
+}
+
+// TestNormalizeCARowsMatchReference: the cardinality-ordering rows
+// encode.addCA builds, Σ x[i][j] − Σ x[i][j+1] ≥ 0 with 2n terms, in
+// encoding order and shuffled, up to n = 4096.
+func TestNormalizeCARowsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19620817))
+	for _, n := range []int{1, 2, 7, 40, 513, 4096} {
+		const K = 20
+		terms := make([]Term, 0, 2*n)
+		for i := 0; i < n; i++ {
+			j := rng.Intn(K - 1)
+			terms = append(terms,
+				Term{Coef: 1, Lit: cnf.PosLit(i*K + j + 1)},
+				Term{Coef: -1, Lit: cnf.PosLit(i*K + j + 2)})
+		}
+		checkNormalizeMatchesReference(t, terms, 0)
+		rng.Shuffle(len(terms), func(a, b int) { terms[a], terms[b] = terms[b], terms[a] })
+		checkNormalizeMatchesReference(t, terms, 0)
 	}
 }

@@ -1,6 +1,7 @@
 package pbsolver
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/cnf"
@@ -65,7 +66,8 @@ type cdclEngine struct {
 	vivBuf    []cnf.Lit
 	probing   bool // vivification probe in progress: don't save phases
 
-	impBuf []solverutil.SharedClause // reusable Import drain buffer
+	impBuf  []solverutil.SharedClause // reusable Import drain buffer
+	normBuf cnf.Clause                // reusable clause normalization buffer
 
 	prog solverutil.ProgressEmitter
 	// incumbent mirrors the surrounding optimization loop's best objective
@@ -138,20 +140,25 @@ func newCDCL(opts Options) *cdclEngine {
 	return e
 }
 
+// growTo extends every per-variable slice to cover variables 1..n in one
+// step each.
 func (e *cdclEngine) growTo(n int) {
-	for e.nVars < n {
-		e.nVars++
-		e.assign = append(e.assign, lUndef)
-		e.level = append(e.level, 0)
-		e.reasonCl = append(e.reasonCl, solverutil.CRefUndef)
-		e.reasonBin = append(e.reasonBin, 0)
-		e.reasonPB = append(e.reasonPB, nil)
-		e.trailPos = append(e.trailPos, 0)
-		e.activity = append(e.activity, 0)
-		e.phase = append(e.phase, false)
-		e.seen = append(e.seen, false)
-		e.db.GrowVar()
-		e.occ = append(e.occ, nil, nil)
+	if d := n - e.nVars; d > 0 {
+		e.nVars = n
+		e.assign = append(e.assign, make([]lbool, d)...)
+		e.level = append(e.level, make([]int, d)...)
+		e.reasonCl = slices.Grow(e.reasonCl, d)
+		for i := 0; i < d; i++ {
+			e.reasonCl = append(e.reasonCl, solverutil.CRefUndef)
+		}
+		e.reasonBin = append(e.reasonBin, make([]cnf.Lit, d)...)
+		e.reasonPB = append(e.reasonPB, make([]*pbc, d)...)
+		e.trailPos = append(e.trailPos, make([]int, d)...)
+		e.activity = append(e.activity, make([]float64, d)...)
+		e.phase = append(e.phase, make([]bool, d)...)
+		e.seen = append(e.seen, make([]bool, d)...)
+		e.db.GrowVars(d)
+		e.occ = append(e.occ, make([][]occRef, 2*d)...)
 	}
 	e.order.Ensure(e.nVars, e.activity)
 }
@@ -180,10 +187,13 @@ func (e *cdclEngine) valueEnc(u uint32) lbool {
 
 func (e *cdclEngine) decisionLevel() int { return len(e.trailAt) }
 
-// addClause installs a clause at decision level 0.
+// addClause installs a clause at decision level 0. The clause is
+// normalized in normBuf, and the literals the root assignment falsifies are
+// dropped in place.
 func (e *cdclEngine) addClause(lits []cnf.Lit) bool {
 	e.cancelUntil(0)
-	norm, taut := cnf.Clause(lits).Normalize()
+	e.normBuf = append(e.normBuf[:0], lits...)
+	norm, taut := e.normBuf.NormalizeInPlace()
 	if taut {
 		return true
 	}
@@ -192,7 +202,7 @@ func (e *cdclEngine) addClause(lits []cnf.Lit) bool {
 			e.growTo(l.Var())
 		}
 	}
-	kept := make([]cnf.Lit, 0, len(norm))
+	kept := norm[:0]
 	for _, l := range norm {
 		switch e.value(l) {
 		case lTrue:
@@ -748,7 +758,8 @@ func (e *cdclEngine) importShared() bool {
 // exporter's LBD) so the reduction policy can drop it again if it never
 // helps. Returns false on root conflict.
 func (e *cdclEngine) addSharedClause(lits []cnf.Lit, lbd int) bool {
-	norm, taut := cnf.Clause(lits).Normalize()
+	e.normBuf = append(e.normBuf[:0], lits...)
+	norm, taut := e.normBuf.NormalizeInPlace()
 	if taut {
 		return true
 	}

@@ -296,6 +296,7 @@ type Result struct {
 func buildCDCL(f *pb.Formula, opts Options) *cdclEngine {
 	e := newCDCL(opts)
 	e.growTo(f.NumVars)
+	e.db.ReserveBinary(f.Clauses)
 	for _, c := range f.Clauses {
 		if !e.addClause(c) {
 			return nil

@@ -77,11 +77,20 @@ type TenantStats struct {
 	InFlight int `json:"in_flight"`
 }
 
-// tenant returns (creating on first use) the named tenant's state. Caller
-// holds s.mu.
+// maxTenants bounds the tenant table. X-Tenant names come from clients, so
+// without a bound every distinct name would stay in memory and in
+// /metrics forever.
+const maxTenants = 256
+
+// tenant returns (creating on first use) the named tenant's state. When a
+// new tenant would take the table past maxTenants, every idle tenant is
+// dropped first. Caller holds s.mu.
 func (s *Service) tenant(name string) *tenantState {
 	ts, ok := s.tenants[name]
 	if !ok {
+		if len(s.tenants) >= maxTenants {
+			s.dropIdleTenants(time.Now())
+		}
 		ts = &tenantState{last: time.Now()}
 		if s.cfg.TenantRate > 0 {
 			ts.tokens = float64(s.cfg.TenantBurst) // start full
@@ -89,6 +98,19 @@ func (s *Service) tenant(name string) *tenantState {
 		s.tenants[name] = ts
 	}
 	return ts
+}
+
+// dropIdleTenants forgets every tenant a fresh entry would reproduce: no
+// job queued or running and, under a rate limit, a bucket refilled to
+// TenantBurst. No admission decision changes; only the dropped tenants'
+// counters leave Stats. Caller holds s.mu.
+func (s *Service) dropIdleTenants(now time.Time) {
+	rate, burst := s.cfg.TenantRate, float64(s.cfg.TenantBurst)
+	for name, ts := range s.tenants {
+		if ts.inFlight == 0 && (rate <= 0 || ts.tokens+now.Sub(ts.last).Seconds()*rate >= burst) {
+			delete(s.tenants, name)
+		}
+	}
 }
 
 // takeToken refills the tenant's bucket for the elapsed time and consumes
@@ -100,12 +122,16 @@ func (s *Service) takeToken(ts *tenantState, now time.Time) (bool, time.Duration
 	if rate <= 0 {
 		return true, 0
 	}
-	burst := float64(s.cfg.TenantBurst)
-	ts.tokens += now.Sub(ts.last).Seconds() * rate
-	if ts.tokens > burst {
-		ts.tokens = burst
+	// now is read before the caller takes s.mu, so it may precede a
+	// refill another submission (or the entry's creation) already made;
+	// time never runs backwards for the bucket.
+	if elapsed := now.Sub(ts.last); elapsed > 0 {
+		ts.tokens += elapsed.Seconds() * rate
+		if burst := float64(s.cfg.TenantBurst); ts.tokens > burst {
+			ts.tokens = burst
+		}
+		ts.last = now
 	}
-	ts.last = now
 	if ts.tokens < 1 {
 		wait := time.Duration((1 - ts.tokens) / rate * float64(time.Second))
 		if wait < time.Millisecond {

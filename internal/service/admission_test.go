@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -233,6 +234,115 @@ func TestTenantRateLimit(t *testing.T) {
 	if adm.RetryAfter < time.Minute {
 		t.Fatalf("RetryAfter = %v, want the token-refill wait (minutes)", adm.RetryAfter)
 	}
+}
+
+// TestTenantTableBounded: distinct tenants cannot grow the tenant table
+// (and /metrics) past maxTenants once they are idle, and dropping idle
+// tenants changes no admission decision: a tenant with a job in flight
+// keeps its entry and its quota, and one whose rate bucket is drained
+// keeps its entry and is still refused.
+func TestTenantTableBounded(t *testing.T) {
+	const flood = 3000
+	t.Run("no rate limit", func(t *testing.T) {
+		var runs atomic.Int64
+		svc := New(Config{Workers: 1, Solve: countingSolve(&runs, 0)})
+		defer svc.Close()
+		g := distinctGraph("g", 5)
+		for i := 0; i < flood; i++ {
+			id, err := svc.SubmitTenant(fmt.Sprintf("tenant-%d", i), g, JobSpec{K: 5})
+			if err != nil {
+				t.Fatalf("submission %d: %v", i, err)
+			}
+			if _, err := svc.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(svc.Stats().Tenants); n > maxTenants {
+			t.Fatalf("%d distinct idle tenants left %d entries, want at most %d", flood, n, maxTenants)
+		}
+	})
+	t.Run("busy and drained tenants kept", func(t *testing.T) {
+		gate := make(chan struct{})
+		var runs atomic.Int64
+		counting := countingSolve(&runs, 0)
+		solve := func(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
+			if g.Name() == "busy" {
+				select {
+				case <-gate:
+				case <-ctx.Done():
+				}
+			}
+			return counting(ctx, g, spec, sym, progress)
+		}
+		svc := New(Config{
+			Workers: 1, QueueDepth: 1, TenantMaxInFlight: 1,
+			TenantRate: 0.001, TenantBurst: 1, Solve: solve,
+		})
+		defer svc.Close()
+		released := false
+		defer func() {
+			if !released {
+				close(gate)
+			}
+		}()
+
+		// "drained" spends its only token; the bucket needs ~1000 s to refill.
+		id, err := svc.SubmitTenant("drained", distinctGraph("drained", 3), JobSpec{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.SubmitTenant("drained", distinctGraph("drained", 4), JobSpec{K: 5}); !errors.Is(err, ErrOverQuota) {
+			t.Fatalf("drained tenant: got %v, want ErrOverQuota", err)
+		}
+		// "busy" occupies the only worker.
+		busyID, err := svc.SubmitTenant("busy", distinctGraph("busy", 6), JobSpec{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntilRunning(t, svc, busyID)
+
+		// The first flood tenant fills the one-slot queue; the rest are
+		// refused as queue_full and stay idle with full buckets.
+		queuedID, err := svc.SubmitTenant("tenant-0", distinctGraph("flood", 7), JobSpec{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < flood; i++ {
+			_, err := svc.SubmitTenant(fmt.Sprintf("tenant-%d", i), distinctGraph("flood", 7), JobSpec{K: 5})
+			if !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("flood submission %d: got %v, want ErrQueueFull", i, err)
+			}
+		}
+		st := svc.Stats()
+		if n := len(st.Tenants); n > maxTenants {
+			t.Fatalf("%d distinct tenants left %d entries, want at most %d", flood, n, maxTenants)
+		}
+		if busy, ok := st.Tenants["busy"]; !ok || busy.InFlight != 1 || busy.Accepts != 1 {
+			t.Fatalf("busy tenant entry %+v (present %v), want its running job counted", busy, ok)
+		}
+		if drained, ok := st.Tenants["drained"]; !ok || drained.Accepts != 1 || drained.Rejects != 1 {
+			t.Fatalf("drained tenant entry %+v (present %v), want its counters kept", drained, ok)
+		}
+		if _, err := svc.SubmitTenant("busy", distinctGraph("busy", 8), JobSpec{K: 5}); !errors.Is(err, ErrOverQuota) {
+			t.Fatalf("busy tenant at its in-flight quota: got %v, want ErrOverQuota", err)
+		}
+
+		close(gate)
+		released = true
+		for _, id := range []string{busyID, queuedID} {
+			if _, err := svc.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err = svc.SubmitTenant("drained", distinctGraph("drained", 9), JobSpec{K: 5})
+		var adm *AdmissionError
+		if !errors.As(err, &adm) || adm.Reason != ReasonOverQuota || adm.RetryAfter < time.Minute {
+			t.Fatalf("drained tenant after the flood: got %v, want a rate-limit refusal with the refill wait", err)
+		}
+	})
 }
 
 // TestDeadlineExpiresInQueue: a job whose end-to-end deadline elapses

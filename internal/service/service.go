@@ -377,9 +377,12 @@ type job struct {
 	// graph itself; finish drops it (under mu), so the bounded history
 	// of finished jobs holds names, not graphs. Only the worker running
 	// the job reads g.
-	name   string
-	g      *graph.Graph
-	spec   JobSpec
+	name string
+	g    *graph.Graph
+	spec JobSpec
+	// ctx carries Cancel and CancelAll to the running job. finish drops
+	// ctx and cancel (under mu) as it drops g; Cancel reads cancel under
+	// mu, and only the worker reads ctx, before it finishes the job.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -414,8 +417,9 @@ type job struct {
 	phase string
 
 	// Live progress: the latest snapshot, a monotonically increasing
-	// sequence number, and a wake channel closed (and replaced) on every
-	// update so streamers can block without polling.
+	// sequence number, and a wake channel closed on every update so
+	// streamers can block without polling. The channel is made only when a
+	// streamer waits, so a job nobody watches keeps none.
 	prog     Progress
 	progWake chan struct{}
 
@@ -453,8 +457,10 @@ func (j *job) recordProgress(effK int, p solverutil.Progress) {
 		Phase:    j.phase,
 		Progress: p,
 	}
-	close(j.progWake)
-	j.progWake = make(chan struct{})
+	if j.progWake != nil {
+		close(j.progWake)
+		j.progWake = nil
+	}
 	j.mu.Unlock()
 }
 
@@ -512,7 +518,8 @@ type Service struct {
 	// the moment they publish.
 	inflight map[string]*entry
 	// tenants holds per-tenant admission state (token bucket, in-flight
-	// count, counters), created on first submission.
+	// count, counters), created on first submission and dropped once idle
+	// when the table is full (see maxTenants).
 	tenants map[string]*tenantState
 	// sbpStats aggregates predicate emission (guarded by mu); see
 	// Stats.SBPVariants.
@@ -663,7 +670,6 @@ func (s *Service) replayJob(e JournalEntry) {
 		state:      StateQueued,
 		submitted:  e.Submitted,
 		phase:      "queued",
-		progWake:   make(chan struct{}),
 		done:       make(chan struct{}),
 		recorded:   make(chan struct{}),
 	}
@@ -737,7 +743,6 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 		state:     StateQueued,
 		submitted: now,
 		phase:     "queued",
-		progWake:  make(chan struct{}),
 		done:      make(chan struct{}),
 		recorded:  make(chan struct{}),
 	}
@@ -853,8 +858,11 @@ func (s *Service) Cancel(id string) error {
 	}
 	j.mu.Lock()
 	j.canceled = true
+	cancel := j.cancel
 	j.mu.Unlock()
-	j.cancel()
+	if cancel != nil {
+		cancel()
+	}
 	return nil
 }
 
@@ -1066,8 +1074,11 @@ func (s *Service) CancelAll() {
 		default:
 			j.mu.Lock()
 			j.canceled = true
+			cancel := j.cancel
 			j.mu.Unlock()
-			j.cancel()
+			if cancel != nil {
+				cancel()
+			}
 		}
 	}
 }
@@ -1366,6 +1377,9 @@ func (s *Service) NextProgress(ctx context.Context, id string, afterSeq int64) (
 			j.mu.Unlock()
 			return p, true, nil
 		}
+		if j.progWake == nil {
+			j.progWake = make(chan struct{})
+		}
 		wake := j.progWake
 		j.mu.Unlock()
 		select {
@@ -1480,6 +1494,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.finished = time.Now()
 	j.phase = "done"
 	j.g = nil
+	j.ctx, j.cancel = nil, nil
 	j.mu.Unlock()
 
 	// Release the tenant's in-flight slot and bound the job history before

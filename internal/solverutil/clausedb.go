@@ -35,10 +35,10 @@ func (db *ClauseDB) Init() {
 	db.BinWatches = [][]uint32{nil, nil}
 }
 
-// GrowVar extends the watch lists for one newly tracked variable.
-func (db *ClauseDB) GrowVar() {
-	db.Watches = append(db.Watches, nil, nil)
-	db.BinWatches = append(db.BinWatches, nil, nil)
+// GrowVars extends the watch lists for n newly tracked variables.
+func (db *ClauseDB) GrowVars(n int) {
+	db.Watches = append(db.Watches, make([][]Watcher, 2*n)...)
+	db.BinWatches = append(db.BinWatches, make([][]uint32, 2*n)...)
 }
 
 // Attach installs the clause's two watchers, each carrying the other
@@ -60,6 +60,33 @@ func (db *ClauseDB) Detach(c CRef) {
 				db.Watches[u^1] = ws[:len(ws)-1]
 				break
 			}
+		}
+	}
+}
+
+// ReserveBinary sizes each binary watch list for the binary clauses
+// among clauses, so attaching them appends without growing: the lists are
+// carved from one allocation. Clauses that lose literals or are dropped
+// before they are attached leave their room unused, and clauses over
+// variables the lists do not cover yet are skipped.
+func (db *ClauseDB) ReserveBinary(clauses []cnf.Clause) {
+	need := make([]int, len(db.BinWatches))
+	total := 0
+	for _, c := range clauses {
+		if len(c) != 2 {
+			continue
+		}
+		a, b := EncodeLit(c[0])^1, EncodeLit(c[1])^1
+		if int(a) < len(need) && int(b) < len(need) {
+			need[a]++
+			need[b]++
+			total += 2
+		}
+	}
+	slab := make([]uint32, total)
+	for u, k := range need {
+		if k > 0 && len(db.BinWatches[u]) == 0 {
+			db.BinWatches[u], slab = slab[:0:k], slab[k:]
 		}
 	}
 }

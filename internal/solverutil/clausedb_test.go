@@ -1,6 +1,7 @@
 package solverutil
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
@@ -10,9 +11,7 @@ func newDB(t *testing.T, nVars int) *ClauseDB {
 	t.Helper()
 	db := &ClauseDB{}
 	db.Init()
-	for v := 0; v < nVars; v++ {
-		db.GrowVar()
-	}
+	db.GrowVars(nVars)
 	return db
 }
 
@@ -78,6 +77,35 @@ func TestAttachBinaryImpliesBothDirections(t *testing.T) {
 	}
 	if got := db.BinWatches[EncodeLit(b)^1]; len(got) != 1 || got[0] != EncodeLit(a) {
 		t.Fatalf("BinWatches[¬b] = %v, want [enc(a)]", got)
+	}
+}
+
+// TestReserveBinaryKeepsWatchLists: attaching binary clauses after
+// ReserveBinary gives the same watch lists as attaching them without it,
+// each reserved list stays within its own room (appending past it never
+// writes into a neighbour's), and a clause over an untracked variable is
+// skipped instead of indexing past the lists.
+func TestReserveBinaryKeepsWatchLists(t *testing.T) {
+	clauses := []cnf.Clause{
+		{cnf.PosLit(1), cnf.NegLit(2)}, {cnf.NegLit(1), cnf.PosLit(3)},
+		{cnf.PosLit(1), cnf.PosLit(3)}, {cnf.PosLit(2), cnf.PosLit(1), cnf.PosLit(3)},
+		{cnf.PosLit(1), cnf.NegLit(2)}, {cnf.PosLit(3), cnf.PosLit(9)},
+	}
+	plain, reserved := newDB(t, 3), newDB(t, 3)
+	reserved.ReserveBinary(clauses)
+	for _, c := range clauses {
+		if len(c) == 2 && c[1].Var() <= 3 {
+			plain.AttachBinary(c[0], c[1])
+			reserved.AttachBinary(c[0], c[1])
+		}
+	}
+	// One more binary past the reservation, as a learnt clause would add.
+	plain.AttachBinary(cnf.NegLit(2), cnf.NegLit(3))
+	reserved.AttachBinary(cnf.NegLit(2), cnf.NegLit(3))
+	for u := range plain.BinWatches {
+		if !slices.Equal(plain.BinWatches[u], reserved.BinWatches[u]) {
+			t.Fatalf("BinWatches[%d] = %v with reservation, %v without", u, reserved.BinWatches[u], plain.BinWatches[u])
+		}
 	}
 }
 

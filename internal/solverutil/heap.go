@@ -6,6 +6,8 @@
 // path free of per-clause pointer chasing.
 package solverutil
 
+import "slices"
+
 // VarHeap is an indexed binary max-heap over variable activities, the VSIDS
 // decision order (Moskewicz et al. 2001). Variables are 1..n; position 0 of
 // the index array is unused.
@@ -16,6 +18,10 @@ type VarHeap struct {
 
 // Ensure grows the heap's index to cover variables 1..n, pushing new ones.
 func (h *VarHeap) Ensure(n int, act []float64) {
+	if d := n + 1 - len(h.pos); d > 0 {
+		h.pos = slices.Grow(h.pos, d)
+		h.heap = slices.Grow(h.heap, d)
+	}
 	for len(h.pos) <= n {
 		v := len(h.pos)
 		h.pos = append(h.pos, -1)

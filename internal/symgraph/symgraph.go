@@ -23,6 +23,8 @@
 package symgraph
 
 import (
+	"encoding/binary"
+
 	"repro/internal/autom"
 	"repro/internal/cnf"
 	"repro/internal/pb"
@@ -71,64 +73,79 @@ func Build(f *pb.Formula) *Encoding {
 	n := f.NumVars
 	// Pre-compute vertex count: 2n literal vertices, one per clause with
 	// len != 2, one per PB constraint (+ per-term nodes for mixed
-	// coefficients), one for the objective if present.
-	extra := 0
+	// coefficients), one for the objective if present. Count the edges at
+	// most added alongside, so the edge list below is allocated once.
+	extra, maxEdges := 0, n
 	for _, c := range f.Clauses {
 		if len(c) != 2 {
 			extra++
 		}
+		maxEdges += len(c)
 	}
 	for i := range f.Constraints {
 		extra++
+		maxEdges += 2 * len(f.Constraints[i].Terms)
 		if !uniformCoefs(f.Constraints[i].Terms) {
 			extra += len(f.Constraints[i].Terms)
 		}
 	}
 	if len(f.Objective) > 0 {
 		extra++
+		maxEdges += 2 * len(f.Objective)
 		if !uniformCoefs(f.Objective) {
 			extra += len(f.Objective)
 		}
 	}
 	g := autom.NewGraph(2*n + extra)
 	next := 2 * n
+	// Edges are collected in order and added in one step at the end, so
+	// every adjacency list is allocated once.
+	edges := make([][2]int32, 0, maxEdges)
+	addEdge := func(a, b int) { edges = append(edges, [2]int32{int32(a), int32(b)}) }
 
 	// Boolean consistency edges; literal vertices keep color 0.
 	for v := 1; v <= n; v++ {
-		g.AddEdge(posVertex(v), negVertex(v))
+		addEdge(posVertex(v), negVertex(v))
 	}
 
-	// Clauses.
-	binSeen := map[[2]int]bool{}
+	// Clauses, normalized one by one in a reused buffer.
+	binSeen := make(map[uint64]struct{}, n+len(f.Clauses))
 	for v := 1; v <= n; v++ {
-		binSeen[binKey(posVertex(v), negVertex(v))] = true
+		binSeen[binKey(posVertex(v), negVertex(v))] = struct{}{}
 	}
-	clauseSeen := map[string]bool{}
+	clauseSeen := map[string]struct{}{}
+	var normBuf cnf.Clause
+	var keyBuf []byte
 	for _, c := range f.Clauses {
-		norm, taut := c.Normalize()
+		normBuf = append(normBuf[:0], c...)
+		norm, taut := normBuf.NormalizeInPlace()
 		if taut {
 			continue
 		}
 		if len(norm) == 2 {
 			k := binKey(litVertex(norm[0]), litVertex(norm[1]))
-			if !binSeen[k] {
-				binSeen[k] = true
-				g.AddEdge(litVertex(norm[0]), litVertex(norm[1]))
+			if _, dup := binSeen[k]; !dup {
+				binSeen[k] = struct{}{}
+				addEdge(litVertex(norm[0]), litVertex(norm[1]))
 			}
 			continue
 		}
 		// Dedup identical clauses: they carry no extra structure and would
-		// create spurious swappable twin vertices.
-		key := norm.String()
-		if clauseSeen[key] {
+		// create spurious swappable twin vertices. The key is the clause's
+		// literal vertices as varints, which no two clauses share.
+		keyBuf = keyBuf[:0]
+		for _, l := range norm {
+			keyBuf = binary.AppendUvarint(keyBuf, uint64(litVertex(l)))
+		}
+		if _, dup := clauseSeen[string(keyBuf)]; dup {
 			continue
 		}
-		clauseSeen[key] = true
+		clauseSeen[string(keyBuf)] = struct{}{}
 		cv := next
 		next++
 		g.SetColor(cv, colorClause)
 		for _, l := range norm {
-			g.AddEdge(cv, litVertex(l))
+			addEdge(cv, litVertex(l))
 		}
 	}
 
@@ -160,7 +177,7 @@ func Build(f *pb.Formula) *Encoding {
 	attachRow := func(rowVertex int, terms []pb.Term) {
 		if uniformCoefs(terms) {
 			for _, t := range terms {
-				g.AddEdge(rowVertex, litVertex(t.Lit))
+				addEdge(rowVertex, litVertex(t.Lit))
 			}
 			return
 		}
@@ -168,8 +185,8 @@ func Build(f *pb.Formula) *Encoding {
 			tn := next
 			next++
 			g.SetColor(tn, coefColor(t.Coef))
-			g.AddEdge(rowVertex, tn)
-			g.AddEdge(tn, litVertex(t.Lit))
+			addEdge(rowVertex, tn)
+			addEdge(tn, litVertex(t.Lit))
 		}
 	}
 
@@ -188,6 +205,7 @@ func Build(f *pb.Formula) *Encoding {
 		attachRow(ov, f.Objective)
 	}
 
+	g.AddEdges(edges)
 	return &Encoding{G: g, nVars: n}
 }
 
@@ -200,11 +218,11 @@ func uniformCoefs(terms []pb.Term) bool {
 	return true
 }
 
-func binKey(a, b int) [2]int {
+func binKey(a, b int) uint64 {
 	if a > b {
 		a, b = b, a
 	}
-	return [2]int{a, b}
+	return uint64(a)<<32 | uint64(b)
 }
 
 // LitPerm is a symmetry of the formula: Img[v] is the image literal of

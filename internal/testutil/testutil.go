@@ -141,3 +141,16 @@ func RandomGraph(rng *rand.Rand, name string, n int, p float64) *graph.Graph {
 	}
 	return g
 }
+
+// PlantedGraphs returns one graph of each planted-χ family at the sizes
+// e2ebench's solve and shatter workloads submit (chromatic number 6), the
+// inputs the formula-load benchmarks and golden pins run on.
+func PlantedGraphs() []*graph.Graph {
+	iv, _ := graph.IntervalInterference("interval", 40, 6, 4)
+	return []*graph.Graph{
+		graph.PartiteScenes("scenes", 40, 130, 6, 1),
+		graph.PartiteGeometric("geometric", 50, 130, 6, 2),
+		graph.PartitePlanted("planted", 50, 160, 6, 3),
+		iv,
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/heuristic"
+	"repro/internal/par"
 	"repro/internal/pb"
 	"repro/internal/pbsolver"
 	"repro/internal/sbp"
@@ -359,12 +360,14 @@ func BenchmarkSBPVariants(b *testing.B) {
 }
 
 // BenchmarkParallelSolve compares the sequential engine against the
-// cube-and-conquer subsystem on a DSJC-style random instance (dense
-// enough that the optimality proof dominates). The sub-benchmarks share
-// one instance, so `make bench-compare` records sequential-vs-parallel
-// wall clock side by side; on a multi-core runner the parallel variant
-// shows the speedup (on a single core it only measures the subsystem's
-// overhead).
+// cube-and-conquer subsystem. The dense pair shares one DSJC-style random
+// instance (dense enough that the optimality proof dominates); on a
+// multi-core runner the parallel variant shows the speedup (on a single
+// core it only measures the subsystem's overhead). The racers pair solves
+// the four graphs of e2ebench's racers workload per op, as that workload
+// submits them (K=20, NU+SC, parallel: 2), so `make bench-compare` tracks
+// what two-worker cube-and-conquer costs against one engine on its own
+// workload without an end-to-end run.
 func BenchmarkParallelSolve(b *testing.B) {
 	g := graph.Random("DSJC-style-34", 34, 280, 7)
 	run := func(b *testing.B, parallel int) {
@@ -381,6 +384,46 @@ func BenchmarkParallelSolve(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) { run(b, 0) })
 	b.Run("parallel-4", func(b *testing.B) { run(b, 4) })
+
+	racers := testutil.RacerGraphs()
+	runRacers := func(b *testing.B, parallel int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, g := range racers {
+				out := core.Solve(context.Background(), g, core.Config{
+					K: 20, SBP: encode.SBPNUSC, Engine: pbsolver.EnginePBS,
+					Knobs: core.Knobs{Parallel: parallel}, Timeout: 2 * time.Minute,
+				})
+				if out.Chi != g.Chi {
+					b.Fatalf("%s: chi=%d status=%v, want %d", g.Name(), out.Chi, out.Result.Status, g.Chi)
+				}
+			}
+		}
+	}
+	b.Run("racers/sequential", func(b *testing.B) { runRacers(b, 0) })
+	b.Run("racers/parallel-2", func(b *testing.B) { runRacers(b, 2) })
+}
+
+// BenchmarkCubeGeneration times internal/par's cube generator on the four
+// racers-size formulas (K=20, NU+SC) at depth 4, the depth par picks for
+// two workers. The generator runs beside the whole-formula worker, so its
+// allocations are reported with the time; cubes/op is the emitted cube
+// count, which must not move unless the generator's output does.
+func BenchmarkCubeGeneration(b *testing.B) {
+	var formulas []*pb.Formula
+	for _, g := range testutil.RacerGraphs() {
+		formulas = append(formulas, encode.Build(g, 20, encode.SBPNUSC).F)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cubes := 0
+	for i := 0; i < b.N; i++ {
+		cubes = 0
+		for _, f := range formulas {
+			cubes += len(par.CubesPB(f, par.CubeOptions{Depth: 4}).Cubes)
+		}
+	}
+	b.ReportMetric(float64(cubes), "cubes/op")
 }
 
 // BenchmarkCanonicalForm times canonical labeling on the transitive

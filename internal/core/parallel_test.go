@@ -81,3 +81,36 @@ func TestParallelKnobsAnswerInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelNoStallAboveChi: a color bound far above χ must not stall
+// cube-and-conquer. Under NU the generator's first cubes branch on the
+// color-usage variables y_j, so with K above the vertex count a cube can
+// force more colors into use than there are vertices, and refuting that
+// is a pigeonhole proof no worker finishes in time. One engine answers
+// every cell here in under 0.1 s, so every cell must come back OPTIMAL
+// well inside the 1 s budget.
+func TestParallelNoStallAboveChi(t *testing.T) {
+	for _, inst := range []struct {
+		name string
+		chi  int
+	}{{"myciel3", 4}, {"queen5_5", 5}} {
+		g, err := graph.Benchmark(inst.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{12, 20, 30} {
+			for _, kind := range []encode.SBPKind{encode.SBPNU, encode.SBPNUSC, encode.SBPSC, encode.SBPCA, encode.SBPLI} {
+				for _, workers := range []int{2, 3} {
+					out := Solve(context.Background(), g, Config{
+						K: k, SBP: kind, Timeout: time.Second, Knobs: Knobs{Parallel: workers},
+					})
+					if out.Result.Status != pbsolver.StatusOptimal || out.Chi != inst.chi {
+						t.Errorf("%s K=%d %v parallel=%d: %v chi=%d after %v, want OPTIMAL chi=%d",
+							inst.name, k, kind, workers, out.Result.Status, out.Chi,
+							out.Result.Runtime.Round(time.Millisecond), inst.chi)
+					}
+				}
+			}
+		}
+	}
+}

@@ -13,25 +13,30 @@ import (
 	"repro/internal/solverutil"
 )
 
-// Optimize solves a 0-1 ILP formula with parallel cube-and-conquer: the
-// instance is split into cubes (CubesPB), and a bounded pool of
-// incremental pbsolver sessions conquers them, each cube installed as
-// assumptions. Workers share one global incumbent — every improving model
-// found in any cube tightens every worker's objective bound — and, unless
-// disabled, exchange glue-grade learnt clauses at restarts.
+// Optimize solves a 0-1 ILP formula with parallel cube-and-conquer.
+// Worker 0 starts at once on the whole formula: it runs the sequential
+// linear-search loop on an assumption-free session. Beside it the instance
+// is split into cubes (CubesPB), and workers 1..Workers−1 conquer them on
+// incremental pbsolver sessions, each cube installed as assumptions. All
+// workers share one global incumbent — every improving model found
+// anywhere tightens every worker's objective bound — and, unless disabled,
+// exchange glue-grade learnt clauses at restarts.
 //
 // Termination is first-finisher-wins through a context derived from ctx:
-// a worker that proves the instance as a whole (root-level contradiction,
-// an infeasible objective bound, a feasible objective of 0, or — in
-// decision mode — any satisfying model) cancels the rest of the pool.
-// Otherwise the run ends when every cube is conquered (StatusOptimal or
-// StatusUnsat, by the covering property of the cube tree) or the budget
-// expires (StatusSat with the best incumbent, or StatusUnknown).
+// a worker that proves the instance as a whole (worker 0 refuting the
+// formula under its bound, a root-level contradiction in any worker, an
+// infeasible objective bound, a feasible objective of 0, or — in decision
+// mode — any satisfying model) cancels the rest of the pool, and so does
+// the cube worker that closes the last open cube (StatusOptimal or
+// StatusUnsat, by the covering property of the cube tree). Otherwise the
+// run ends when the budget expires (StatusSat with the best incumbent, or
+// StatusUnknown). Cube generation always runs to completion before
+// Optimize returns, so the cube counters depend on the seed alone.
 //
 // With an empty objective this degenerates to a parallel decision solve —
 // the mode pure CNF formulas run in (see pb.FromCNF): SAT (reported as
-// StatusOptimal) the moment any cube is satisfiable, UNSAT when all cubes
-// are closed.
+// StatusOptimal) the moment any worker finds a model, UNSAT when worker 0
+// refutes the formula or all cubes are closed.
 func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 	start := time.Now()
 	workers := opts.workers()
@@ -61,39 +66,31 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 	}
 	defer cancel()
 
-	cs := CubesPB(f, CubeOptions{Depth: opts.cubeDepth(), Seed: opts.Seed})
-	res.Par.CubesGenerated = int64(len(cs.Cubes))
-	res.Par.CubesRefuted = cs.Refuted
-	if cs.RootUnsat {
-		res.Status = pbsolver.StatusUnsat
-		res.Runtime = time.Since(start)
-		return res
-	}
-
 	var exch *Exchange
 	if opts.sharing() && workers > 1 {
 		exch = NewExchange(exchangeCapacity)
 	}
-	decision := len(f.Objective) == 0
+	p := &pool{ctx: pctx, cancel: cancel, decision: len(f.Objective) == 0, bestZ: -1}
+	merge := newMerger(base.Progress, base.ProgressInterval, workers, exch, p)
 
-	// Shared conquest state.
-	var (
-		mu        sync.Mutex
-		bestZ     = -1 // best feasible objective (global incumbent)
-		bestModel cnf.Assignment
-		satModel  cnf.Assignment // decision mode: first satisfying model
-	)
-	var (
-		closed atomic.Int64 // cubes conquered definitively
-		proven atomic.Bool  // whole-instance proof found early
-	)
-	merge := newMerger(base.Progress, base.ProgressInterval, workers, &res.Par, exch, &closed)
-	merge.cubesTotal = int64(len(cs.Cubes))
-	merge.best = func() int { mu.Lock(); defer mu.Unlock(); return bestZ }
-
+	// The generator runs beside worker 0 and feeds the cube workers once
+	// the whole tree is built (the cube count must be known before the
+	// first cube can close the cover).
 	cubeCh := make(chan []cnf.Lit)
+	var cs CubeSet
+	generated := make(chan struct{})
 	go func() {
+		defer close(generated)
 		defer close(cubeCh)
+		cs = CubesPB(f, CubeOptions{Depth: opts.cubeDepth(), Seed: opts.Seed})
+		p.refuted.Store(cs.Refuted)
+		p.total.Store(int64(len(cs.Cubes)))
+		if cs.RootUnsat || len(cs.Cubes) == 0 {
+			// Propagation refuted the root, or every branch: the formula
+			// has no model at all.
+			p.prove()
+			return
+		}
 		for _, c := range cs.Cubes {
 			select {
 			case cubeCh <- c:
@@ -105,10 +102,14 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 
 	perWorker := make([]pbsolver.Stats, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for wid := 0; wid < workers; wid++ {
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
+			role := "cubes"
+			if wid == 0 {
+				role = "whole"
+			}
 			_, wspan := obs.StartSpan(pctx, "solve.worker", obs.Int("worker", int64(wid)))
 			o := base
 			o.Progress = merge.hook(wid)
@@ -117,79 +118,33 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 				o.ExportLBD = opts.shareLBD()
 				o.Import = exch.Importer(wid)
 			}
-			sess := pbsolver.NewSession(pctx, f, o)
+			w := &worker{pool: p, sess: pbsolver.NewSession(pctx, f, o), bound: int(^uint(0) >> 1)}
 			defer func() {
-				st := sess.Stats()
+				st := w.sess.Stats()
 				perWorker[wid] = st
 				wspan.End(
+					obs.String("role", role),
+					obs.Int("cubes_closed", w.closed),
+					obs.Bool("proved", w.proved),
 					obs.Int("conflicts", st.Conflicts),
 					obs.Int("restarts", st.Restarts),
 					obs.Int("solver_calls", st.SolverCalls),
 				)
 			}()
-			appliedBound := int(^uint(0) >> 1) // no bound yet
-			for cube := range cubeCh {
-				for {
-					if pctx.Err() != nil {
-						return
-					}
-					// Tighten to the global incumbent before (re)probing.
-					mu.Lock()
-					gb := bestZ
-					mu.Unlock()
-					if !decision && gb >= 0 && gb-1 < appliedBound {
-						if gb == 0 || !sess.AddObjectiveBound(gb-1) {
-							// Objective 0 cannot improve; an infeasible
-							// bound refutes "objective < incumbent"
-							// globally. Either way the optimum is proven.
-							proven.Store(true)
-							cancel()
-							return
-						}
-						appliedBound = gb - 1
-						sess.SetIncumbent(gb)
-					}
-					switch sess.DecideAssuming(cube) {
-					case pbsolver.StatusSat:
-						m := sess.Model()
-						if decision {
-							mu.Lock()
-							if satModel == nil {
-								satModel = m
-							}
-							mu.Unlock()
-							proven.Store(true)
-							cancel() // first finisher wins
-							return
-						}
-						z := sess.ObjectiveValue(m)
-						mu.Lock()
-						if bestZ < 0 || z < bestZ {
-							bestZ, bestModel = z, m
-						}
-						mu.Unlock()
-						sess.SetIncumbent(z)
-						// Loop: tighten the bound and re-probe this cube.
-					case pbsolver.StatusUnsat:
-						if sess.RootUnsat() {
-							// Contradiction at level 0: the formula (plus
-							// globally justified bounds) is refuted — not
-							// just this cube.
-							proven.Store(true)
-							cancel()
-							return
-						}
-						closed.Add(1)
-						goto nextCube
-					default: // budget exhausted
-						return
-					}
-				}
-			nextCube:
+			if wid == 0 {
+				w.conquer(nil)
+				return
 			}
-		}(w)
+			for cube := range cubeCh {
+				if !w.conquer(cube) {
+					return
+				}
+			}
+		}(wid)
 	}
 	wg.Wait()
+	cancel() // release a feeder no cube worker is left to drain
+	<-generated
 
 	for _, st := range perWorker {
 		res.Stats.Add(st)
@@ -199,41 +154,135 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 		res.Par.ClausesExported = exch.Exported()
 		res.Par.ClausesImported = exch.Imported()
 	}
-	res.Par.CubesClosed = closed.Load()
+	res.Par.CubesGenerated = int64(len(cs.Cubes))
+	res.Par.CubesRefuted = cs.Refuted
+	res.Par.CubesClosed = p.closed.Load()
 	res.Runtime = time.Since(start)
 
-	mu.Lock()
-	defer mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	switch {
-	case decision && satModel != nil:
+	case p.decision && p.satModel != nil:
 		res.Status = pbsolver.StatusOptimal // decision answered definitively
-		res.Model = satModel
-	case proven.Load():
-		// Whole-instance proof: optimal when an incumbent exists (no
+		res.Model = p.satModel
+	case p.proven.Load():
+		// A whole-instance proof: optimal when an incumbent exists (no
 		// model beats it anywhere), UNSAT otherwise (no bound was ever
 		// installed before the refutation, so the formula itself is out).
-		if bestZ >= 0 {
+		if p.bestZ >= 0 {
 			res.Status = pbsolver.StatusOptimal
-			res.Model, res.Objective = bestModel, bestZ
+			res.Model, res.Objective = p.bestModel, p.bestZ
 		} else {
 			res.Status = pbsolver.StatusUnsat
 		}
-	case closed.Load() == int64(len(cs.Cubes)):
-		// Every generated cube was conquered definitively (counted one by
-		// one — cancellation mid-feed leaves this short, so a truncated
-		// run can never masquerade as a covering proof); the cube tree
-		// covers the model space.
-		if bestZ >= 0 {
-			res.Status = pbsolver.StatusOptimal
-			res.Model, res.Objective = bestModel, bestZ
-		} else {
-			res.Status = pbsolver.StatusUnsat
-		}
-	case bestZ >= 0:
+	case p.bestZ >= 0:
 		res.Status = pbsolver.StatusSat // feasible, optimality unproven
-		res.Model, res.Objective = bestModel, bestZ
+		res.Model, res.Objective = p.bestModel, p.bestZ
 	}
 	return res
+}
+
+// pool is the state one parallel solve's workers share.
+type pool struct {
+	ctx      context.Context
+	cancel   context.CancelFunc
+	decision bool // no objective: the first model answers the instance
+
+	mu        sync.Mutex
+	bestZ     int // best feasible objective (global incumbent), −1 for none
+	bestModel cnf.Assignment
+	satModel  cnf.Assignment // decision mode: first satisfying model
+
+	total   atomic.Int64 // cubes generated, stored before the first is fed
+	refuted atomic.Int64 // branches the generator refuted
+	closed  atomic.Int64 // cubes conquered definitively
+	proven  atomic.Bool  // whole-instance proof found (or all cubes closed)
+}
+
+func (p *pool) best() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.bestZ
+}
+
+// prove records a whole-instance proof and stops the pool. It reports
+// whether this was the first proof, the one that ended the run.
+func (p *pool) prove() bool {
+	first := p.proven.CompareAndSwap(false, true)
+	p.cancel()
+	return first
+}
+
+// worker is one conquer goroutine's engine and its own counters.
+type worker struct {
+	pool   *pool
+	sess   *pbsolver.Session
+	bound  int   // objective bound installed in sess so far
+	closed int64 // cubes this worker closed
+	proved bool  // this worker's proof ended the run
+}
+
+// conquer solves one cube to a definitive answer — the whole formula when
+// cube is empty, as worker 0 does — re-probing it after every improving
+// model until it is refuted under the tightened bound. It reports whether
+// the cube closed and the worker should take another.
+func (w *worker) conquer(cube []cnf.Lit) bool {
+	p := w.pool
+	for {
+		if p.ctx.Err() != nil {
+			return false
+		}
+		// Tighten to the global incumbent before (re)probing.
+		if gb := p.best(); !p.decision && gb >= 0 && gb-1 < w.bound {
+			if gb == 0 || !w.sess.AddObjectiveBound(gb-1) {
+				// Objective 0 cannot improve; an infeasible bound refutes
+				// "objective < incumbent" globally. Either way the optimum
+				// is proven.
+				w.proved = p.prove()
+				return false
+			}
+			w.bound = gb - 1
+			w.sess.SetIncumbent(gb)
+		}
+		switch w.sess.DecideAssuming(cube) {
+		case pbsolver.StatusSat:
+			m := w.sess.Model()
+			p.mu.Lock()
+			if p.decision {
+				if p.satModel == nil {
+					p.satModel = m
+				}
+				p.mu.Unlock()
+				w.proved = p.prove() // first finisher wins
+				return false
+			}
+			z := w.sess.ObjectiveValue(m)
+			if p.bestZ < 0 || z < p.bestZ {
+				p.bestZ, p.bestModel = z, m
+			}
+			p.mu.Unlock()
+			w.sess.SetIncumbent(z)
+			// Loop: tighten the bound and re-probe this cube.
+		case pbsolver.StatusUnsat:
+			if len(cube) == 0 || w.sess.RootUnsat() {
+				// No assumptions, or a contradiction at level 0: the
+				// formula (plus globally justified bounds) is refuted —
+				// not just this cube.
+				w.proved = p.prove()
+				return false
+			}
+			w.closed++
+			if p.closed.Add(1) == p.total.Load() {
+				// The last open cube: the cube tree covers the model
+				// space. Cubes are counted one by one as they close, so a
+				// run cancelled mid-feed never gets here.
+				w.proved = p.prove()
+			}
+			return true
+		default: // budget exhausted
+			return false
+		}
+	}
 }
 
 // merger fans per-worker progress snapshots into one merged stream:
@@ -246,21 +295,17 @@ type merger struct {
 	per     []solverutil.Progress
 	workers int
 
-	cubesTotal int64
-	stats      *Stats
-	exch       *Exchange
-	closed     *atomic.Int64
-	best       func() int
+	exch *Exchange
+	pool *pool
 }
 
-func newMerger(fn solverutil.ProgressFunc, interval time.Duration, workers int, stats *Stats, exch *Exchange, closed *atomic.Int64) *merger {
+func newMerger(fn solverutil.ProgressFunc, interval time.Duration, workers int, exch *Exchange, pool *pool) *merger {
 	return &merger{
 		emit:    solverutil.NewProgressEmitter(fn, interval),
 		per:     make([]solverutil.Progress, workers),
 		workers: workers,
-		stats:   stats,
 		exch:    exch,
-		closed:  closed,
+		pool:    pool,
 	}
 }
 
@@ -281,7 +326,7 @@ func (m *merger) record(wid int, p solverutil.Progress) {
 	}
 	merged := solverutil.Progress{
 		Engine:    "par:" + p.Engine,
-		Incumbent: m.best(),
+		Incumbent: m.pool.best(),
 	}
 	if p.Engine == "" {
 		merged.Engine = "par"
@@ -300,9 +345,9 @@ func (m *merger) record(wid int, p solverutil.Progress) {
 		merged.LBDUpdates += q.LBDUpdates
 	}
 	merged.Workers = m.workers
-	merged.CubesTotal = m.cubesTotal
-	merged.CubesClosed = m.closed.Load()
-	merged.CubesRefuted = m.stats.CubesRefuted
+	merged.CubesTotal = m.pool.total.Load()
+	merged.CubesClosed = m.pool.closed.Load()
+	merged.CubesRefuted = m.pool.refuted.Load()
 	if m.exch != nil {
 		merged.SharedExported = m.exch.Exported()
 		merged.SharedImported = m.exch.Imported()

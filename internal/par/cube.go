@@ -2,7 +2,7 @@ package par
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/cnf"
 	"repro/internal/pb"
@@ -94,8 +94,9 @@ func CubesPB(f *pb.Formula, opt CubeOptions) CubeSet {
 func rankVars(p *prop, numVars int, seed int64) []int {
 	score := make([]float64, numVars+1)
 	for _, cl := range p.clauses {
-		w := clauseWeight(len(cl.lits))
-		for _, l := range cl.lits {
+		lits := p.lits(cl)
+		w := clauseWeight(len(lits))
+		for _, l := range lits {
 			score[l.Var()] += w
 		}
 	}
@@ -118,12 +119,14 @@ func rankVars(p *prop, numVars int, seed int64) []int {
 			vars = append(vars, v)
 		}
 	}
-	sort.Slice(vars, func(i, j int) bool {
-		vi, vj := vars[i], vars[j]
-		if score[vi] != score[vj] {
-			return score[vi] > score[vj]
+	slices.SortFunc(vars, func(a, b int) int {
+		switch {
+		case score[a] > score[b]:
+			return -1
+		case score[a] < score[b]:
+			return 1
 		}
-		return tie[vi] < tie[vj]
+		return tie[a] - tie[b]
 	})
 	return vars
 }
@@ -145,21 +148,26 @@ type prop struct {
 	assign []int8 // 0 unassigned, +1 true, −1 false, by variable
 
 	clauses []propClause
-	occPos  [][]int32 // clause indices containing +v
-	occNeg  [][]int32 // clause indices containing −v
+	slab    []cnf.Lit // every kept clause's literals, back to back
+	pbcs    []propPBC
 
-	pbcs   []propPBC
-	pbcPos [][]int32 // constraint indices containing +v (by literal sign)
-	pbcNeg [][]int32
+	// occs holds every occurrence list in one counted slab: for literal
+	// l, occs[off[s]:off[s+1]] are the clauses containing l and
+	// occs[off[s+1]:off[s+2]] the constraints containing l, each with
+	// l's coefficient, where s = occSlot(l).
+	occs []occ
+	off  []int32
 
 	trail []cnf.Lit
 	empty bool // an empty clause or infeasible constraint exists
 }
 
+// propClause holds no pointer, so the collector never scans the clause
+// array: its literals are prop.slab[start:end].
 type propClause struct {
-	lits   []cnf.Lit
-	nFalse int32
-	nTrue  int32
+	start, end int32
+	nFalse     int32
+	nTrue      int32
 }
 
 type propPBC struct {
@@ -167,17 +175,43 @@ type propPBC struct {
 	slack int // Σ coef of non-false literals − bound
 }
 
+// occ is one occurrence of a literal: the clause or constraint index, and
+// for a constraint the literal's coefficient in it.
+type occ struct {
+	idx  int32
+	coef int
+}
+
+// occSlot is the first of l's two occurrence lists in prop.off.
+func occSlot(l cnf.Lit) int {
+	if l.Sign() {
+		return 4 * l.Var()
+	}
+	return 4*l.Var() + 2
+}
+
+func (p *prop) lits(cl propClause) []cnf.Lit { return p.slab[cl.start:cl.end] }
+
+func (p *prop) clauseOcc(l cnf.Lit) []occ {
+	s := occSlot(l)
+	return p.occs[p.off[s]:p.off[s+1]]
+}
+
+func (p *prop) pbOcc(l cnf.Lit) []occ {
+	s := occSlot(l) + 1
+	return p.occs[p.off[s]:p.off[s+1]]
+}
+
 func newProp(numVars int, clauses []cnf.Clause, constraints []pb.Constraint) *prop {
 	p := &prop{
-		assign: make([]int8, numVars+1),
-		occPos: make([][]int32, numVars+1),
-		occNeg: make([][]int32, numVars+1),
-		pbcPos: make([][]int32, numVars+1),
-		pbcNeg: make([][]int32, numVars+1),
+		assign:  make([]int8, numVars+1),
+		clauses: make([]propClause, 0, len(clauses)),
+		pbcs:    make([]propPBC, len(constraints)),
+		off:     make([]int32, 4*(numVars+1)+1),
 	}
 	// Every clause is normalized in place at the tail of one slab sized to
 	// the formula's literal count, so the slab never moves and each kept
-	// clause is a slice of it.
+	// clause is a range of it.
 	total := 0
 	for _, cl := range clauses {
 		total += len(cl)
@@ -195,28 +229,48 @@ func newProp(numVars int, clauses []cnf.Clause, constraints []pb.Constraint) *pr
 			p.empty = true
 			continue
 		}
-		idx := int32(len(p.clauses))
-		p.clauses = append(p.clauses, propClause{lits: norm})
-		for _, l := range norm {
-			if l.Sign() {
-				p.occPos[l.Var()] = append(p.occPos[l.Var()], idx)
-			} else {
-				p.occNeg[l.Var()] = append(p.occNeg[l.Var()], idx)
-			}
-		}
+		p.clauses = append(p.clauses, propClause{start: int32(start), end: int32(len(slab))})
 	}
+	// Count every list's length at off[s+1], turn the counts into start
+	// offsets, fill each list by advancing its start, and shift the
+	// advanced starts (now ends) back into place.
+	n := len(slab)
 	for i := range constraints {
 		c := &constraints[i]
-		idx := int32(len(p.pbcs))
-		p.pbcs = append(p.pbcs, propPBC{terms: c.Terms, slack: c.Slack()})
-		for _, t := range c.Terms {
-			if t.Lit.Sign() {
-				p.pbcPos[t.Lit.Var()] = append(p.pbcPos[t.Lit.Var()], idx)
-			} else {
-				p.pbcNeg[t.Lit.Var()] = append(p.pbcNeg[t.Lit.Var()], idx)
-			}
+		p.pbcs[i] = propPBC{terms: c.Terms, slack: c.Slack()}
+		n += len(c.Terms)
+	}
+	p.slab = slab
+	for _, cl := range p.clauses {
+		for _, l := range p.lits(cl) {
+			p.off[occSlot(l)+1]++
 		}
 	}
+	for _, c := range p.pbcs {
+		for _, t := range c.terms {
+			p.off[occSlot(t.Lit)+2]++
+		}
+	}
+	for s := 1; s < len(p.off); s++ {
+		p.off[s] += p.off[s-1]
+	}
+	p.occs = make([]occ, n)
+	for ci, cl := range p.clauses {
+		for _, l := range p.lits(cl) {
+			s := occSlot(l)
+			p.occs[p.off[s]] = occ{idx: int32(ci)}
+			p.off[s]++
+		}
+	}
+	for pi, c := range p.pbcs {
+		for _, t := range c.terms {
+			s := occSlot(t.Lit) + 1
+			p.occs[p.off[s]] = occ{idx: int32(pi), coef: t.Coef}
+			p.off[s]++
+		}
+	}
+	copy(p.off[1:], p.off[:len(p.off)-1])
+	p.off[0] = 0
 	return p
 }
 
@@ -236,30 +290,18 @@ func (p *prop) mark() int { return len(p.trail) }
 func (p *prop) undo(mark int) {
 	for i := len(p.trail) - 1; i >= mark; i-- {
 		l := p.trail[i]
-		v := l.Var()
-		sameOcc, oppOcc := p.occPos[v], p.occNeg[v]
-		oppPBC := p.pbcNeg[v]
-		if !l.Sign() {
-			sameOcc, oppOcc = oppOcc, sameOcc
-			oppPBC = p.pbcPos[v]
+		for _, o := range p.clauseOcc(l) {
+			p.clauses[o.idx].nTrue--
 		}
-		for _, ci := range sameOcc {
-			p.clauses[ci].nTrue--
-		}
-		for _, ci := range oppOcc {
-			p.clauses[ci].nFalse--
+		for _, o := range p.clauseOcc(l.Neg()) {
+			p.clauses[o.idx].nFalse--
 		}
 		// Slack counts non-false literals, so only the constraints where
 		// the literal had become false (those containing ¬l) moved.
-		for _, pi := range oppPBC {
-			for _, t := range p.pbcs[pi].terms {
-				if t.Lit == l.Neg() {
-					p.pbcs[pi].slack += t.Coef
-					break
-				}
-			}
+		for _, o := range p.pbOcc(l.Neg()) {
+			p.pbcs[o.idx].slack += o.coef
 		}
-		p.assign[v] = 0
+		p.assign[l.Var()] = 0
 	}
 	p.trail = p.trail[:mark]
 }
@@ -273,8 +315,8 @@ func (p *prop) propagateRoot() bool {
 	head := 0
 	// Seed with unit clauses and immediately forced PB literals.
 	for ci := range p.clauses {
-		if len(p.clauses[ci].lits) == 1 {
-			if !p.enqueue(p.clauses[ci].lits[0]) {
+		if cl := p.clauses[ci]; cl.end-cl.start == 1 {
+			if !p.enqueue(p.slab[cl.start]) {
 				return false
 			}
 		}
@@ -321,25 +363,14 @@ func (p *prop) enqueue(l cnf.Lit) bool {
 		p.assign[v] = -1
 	}
 	p.trail = append(p.trail, l)
-	sameOcc, oppOcc := p.occPos[v], p.occNeg[v]
-	oppPBC := p.pbcNeg[v]
-	if !l.Sign() {
-		sameOcc, oppOcc = oppOcc, sameOcc
-		oppPBC = p.pbcPos[v]
+	for _, o := range p.clauseOcc(l) {
+		p.clauses[o.idx].nTrue++
 	}
-	for _, ci := range sameOcc {
-		p.clauses[ci].nTrue++
+	for _, o := range p.clauseOcc(l.Neg()) {
+		p.clauses[o.idx].nFalse++
 	}
-	for _, ci := range oppOcc {
-		p.clauses[ci].nFalse++
-	}
-	for _, pi := range oppPBC {
-		for _, t := range p.pbcs[pi].terms {
-			if t.Lit == l.Neg() {
-				p.pbcs[pi].slack -= t.Coef
-				break
-			}
-		}
+	for _, o := range p.pbOcc(l.Neg()) {
+		p.pbcs[o.idx].slack -= o.coef
 	}
 	return true
 }
@@ -350,23 +381,18 @@ func (p *prop) propagate(head int) bool {
 	for head < len(p.trail) {
 		l := p.trail[head]
 		head++
-		v := l.Var()
-		oppOcc, oppPBC := p.occNeg[v], p.pbcNeg[v]
-		if !l.Sign() {
-			oppOcc, oppPBC = p.occPos[v], p.pbcPos[v]
-		}
-		for _, ci := range oppOcc {
-			cl := &p.clauses[ci]
+		for _, o := range p.clauseOcc(l.Neg()) {
+			cl := &p.clauses[o.idx]
 			if cl.nTrue > 0 {
 				continue
 			}
-			n := int32(len(cl.lits))
+			n := cl.end - cl.start
 			switch {
 			case cl.nFalse == n:
 				return false
 			case cl.nFalse == n-1:
 				// Exactly one non-false literal left: find and force it.
-				for _, u := range cl.lits {
+				for _, u := range p.lits(*cl) {
 					if p.valueLit(u) == 0 {
 						if !p.enqueue(u) {
 							return false
@@ -376,8 +402,8 @@ func (p *prop) propagate(head int) bool {
 				}
 			}
 		}
-		for _, pi := range oppPBC {
-			c := &p.pbcs[pi]
+		for _, o := range p.pbOcc(l.Neg()) {
+			c := &p.pbcs[o.idx]
 			if c.slack < 0 {
 				return false
 			}

@@ -1,14 +1,15 @@
-// Package par is the parallel cube-and-conquer subsystem: it splits the
-// symmetry-reduced search space of an encoded instance into cubes with a
-// lookahead-based generator (cube.go), conquers the cubes on a bounded
-// pool of incremental internal/pbsolver sessions, each seeded with its
-// cube as assumptions (conquer.go), and lets the workers exchange
-// glue-grade learnt clauses through a lock-light ring buffer
+// Package par is the parallel cube-and-conquer subsystem. Worker 0 solves
+// the whole formula at once, as one engine would; beside it, a
+// lookahead-based generator (cube.go) splits the symmetry-reduced search
+// space of the encoded instance into cubes, and the other workers of a
+// bounded pool of incremental internal/pbsolver sessions conquer them,
+// each seeded with its cube as assumptions (conquer.go). All workers
+// exchange glue-grade learnt clauses through a lock-light ring buffer
 // (exchange.go), in the style of Glucose-syrup portfolio solvers. A
 // formula without an objective, such as a pure CNF decision instance, is
 // conquered as a decision problem.
 //
-// Soundness rests on three invariants:
+// Soundness rests on four invariants:
 //
 //  1. Cubes cover the space. The generated cubes are the leaves of one
 //     branching tree; every pruned branch was refuted by propagation and
@@ -26,6 +27,11 @@
 //     models of the unrestricted formula (a cube only restricts, never
 //     extends, the model set). Pruning a model of objective ≥ the shared
 //     incumbent can therefore never change the optimum.
+//  4. Worker 0's answers hold for the whole formula. It probes with no
+//     assumptions, under bounds that invariant 3 justifies globally, so
+//     its refutation proves the instance (optimal with the incumbent,
+//     UNSAT without one) and its models are real incumbents. A
+//     definitive answer may therefore leave cubes unconquered.
 //
 // The subsystem sits between the engines and internal/core: core.Solve
 // routes to par.Optimize when Config.Parallel > 1, and the knobs flow
@@ -44,8 +50,8 @@ type Options struct {
 	// Workers is the conquer pool size (0 = GOMAXPROCS; requests are
 	// clamped to 4× GOMAXPROCS, since Workers reaches this layer from
 	// untrusted job submissions and each worker builds a full engine).
-	// One CDCL engine is built per worker; workers pull cubes from a
-	// shared queue.
+	// One CDCL engine is built per worker: worker 0 solves the whole
+	// formula, the others pull cubes from a shared queue.
 	Workers int
 	// CubeDepth is the number of branching decisions per cube, so the
 	// generator emits at most 2^CubeDepth cubes (fewer when propagation
@@ -122,7 +128,8 @@ type Stats struct {
 	Workers int `json:"workers"`
 	// CubesGenerated counts emitted cubes; CubesRefuted counts branches
 	// the lookahead pruned by propagation (closed before any engine ran);
-	// CubesClosed counts cubes conquered definitively by a worker.
+	// CubesClosed counts cubes conquered definitively by a cube worker,
+	// which may stay below CubesGenerated when worker 0 answers first.
 	CubesGenerated int64 `json:"cubes_generated"`
 	CubesRefuted   int64 `json:"cubes_refuted"`
 	CubesClosed    int64 `json:"cubes_closed"`

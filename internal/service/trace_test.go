@@ -15,7 +15,8 @@ import (
 
 // TestParallelSolveTraceShape drives a real cube-and-conquer solve and
 // asserts the per-worker spans land as children of the solve span — not
-// of the root, and not orphaned — with one span per conquer worker.
+// of the root, and not orphaned — with one span per conquer worker, and
+// exactly one of them the whole-formula worker (role=whole).
 // Run under -race this also proves worker goroutines ending their spans
 // concurrently with the trace's own bookkeeping is sound.
 func TestParallelSolveTraceShape(t *testing.T) {
@@ -45,10 +46,26 @@ func TestParallelSolveTraceShape(t *testing.T) {
 	if solve == nil {
 		t.Fatalf("no solve span in trace %+v", tv.Spans[0])
 	}
-	workers := 0
+	workers, whole := 0, 0
 	for _, c := range solve.Children {
 		if c.Name == "solve.worker" {
 			workers++
+			attrs := map[string]any{}
+			for _, a := range c.Attrs {
+				attrs[a.Key] = a.Value()
+			}
+			switch attrs["role"] {
+			case "whole":
+				whole++
+			case "cubes":
+			default:
+				t.Fatalf("worker span without a role: %+v", c.Attrs)
+			}
+			for _, key := range []string{"cubes_closed", "proved"} {
+				if _, ok := attrs[key]; !ok {
+					t.Fatalf("worker span without %s: %+v", key, c.Attrs)
+				}
+			}
 			// A worker span lives inside the solve interval (1ms slack
 			// for millisecond rounding in the view).
 			if c.StartOffsetMS < solve.StartOffsetMS-1 ||
@@ -59,8 +76,11 @@ func TestParallelSolveTraceShape(t *testing.T) {
 			}
 		}
 	}
-	if workers == 0 {
-		t.Fatalf("no solve.worker spans under solve: %+v", solve)
+	if workers != 3 {
+		t.Fatalf("%d solve.worker spans under solve, want one per worker (3): %+v", workers, solve)
+	}
+	if whole != 1 {
+		t.Fatalf("%d role=whole worker spans, want exactly 1", whole)
 	}
 	// None of the per-worker spans may leak to the root: the root's
 	// children are the sequential job phases only.

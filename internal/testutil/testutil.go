@@ -154,3 +154,16 @@ func PlantedGraphs() []*graph.Graph {
 		iv,
 	}
 }
+
+// RacerGraphs returns one graph of each planted-χ family at the sizes
+// e2ebench's racers workload submits with parallel: 2 (chromatic number 7
+// or 8), the inputs the cube-and-conquer benchmarks and golden pins run on.
+func RacerGraphs() []*graph.Graph {
+	iv, _ := graph.IntervalInterference("interval-60", 60, 7, 4)
+	return []*graph.Graph{
+		graph.PartiteScenes("scenes-55", 55, 180, 7, 1),
+		graph.PartiteGeometric("geometric-100", 100, 260, 8, 2),
+		graph.PartitePlanted("planted-100", 100, 400, 7, 3),
+		iv,
+	}
+}

@@ -20,6 +20,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSBPVariant$$' -fuzztime $(FUZZTIME) ./internal/sbp
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyLitPerm$$' -fuzztime $(FUZZTIME) ./internal/symgraph
+	$(GO) test -run '^$$' -fuzz '^FuzzEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph
 
 fmt:
 	gofmt -l -w .

@@ -6,8 +6,12 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -18,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/heuristic"
+	"repro/internal/httpapi"
 	"repro/internal/par"
 	"repro/internal/pb"
 	"repro/internal/pbsolver"
@@ -474,6 +479,103 @@ func BenchmarkCanonicalForm(b *testing.B) {
 				}
 				b.ReportMetric(float64(nodes), "nodes/op")
 			})
+		}
+	}
+}
+
+// hitsPool are the nine Table-1 graphs e2ebench's hits workload submits
+// relabelled.
+var hitsPool = []string{
+	"DSJC125.1", "games120", "jean", "miles250", "myciel3", "myciel4",
+	"queen5_5", "queen6_6", "queen7_7",
+}
+
+// hitsRequests returns one job request per hits pool graph, relabelled as
+// e2ebench relabels them (a random vertex permutation, each edge in a
+// random orientation, the list shuffled) under e2ebench's spec.
+func hitsRequests(b *testing.B) []httpapi.JobRequest {
+	rng := rand.New(rand.NewSource(20040324))
+	out := make([]httpapi.JobRequest, 0, len(hitsPool))
+	for _, name := range hitsPool {
+		g, err := graph.Benchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perm := rng.Perm(g.N())
+		edges := make(graph.EdgeList, 0, g.M())
+		for _, e := range g.Edges() {
+			a, c := perm[e[0]], perm[e[1]]
+			if rng.Intn(2) == 0 {
+				a, c = c, a
+			}
+			edges = append(edges, [2]int{a, c})
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		out = append(out, httpapi.JobRequest{
+			Name: name, N: g.N(), Edges: edges,
+			K: 20, SBP: "NU+SC", Engine: "pbs2", Timeout: "60s",
+		})
+	}
+	return out
+}
+
+// BenchmarkCanon times a hits job's canon phase: the canonical labeling
+// of each relabelled hits graph, searched over the graph's own sorted
+// lists as the service searches it (one op labels all nine). nodes/op is
+// the search-tree size, a deterministic counter.
+func BenchmarkCanon(b *testing.B) {
+	var graphs []*graph.Graph
+	for _, req := range hitsRequests(b) {
+		g, err := req.Graph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var nodes int64
+	for i := 0; i < b.N; i++ {
+		nodes = 0
+		for _, g := range graphs {
+			c := autom.CanonicalForm(autom.FromAdjacency(g.Adjacency()), autom.CanonicalOptions{})
+			if !c.Exact {
+				b.Fatalf("%s: inexact canonical labeling", g.Name())
+			}
+			nodes += c.Nodes
+		}
+	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+}
+
+// BenchmarkSubmit times a hits job's submit phase through the HTTP
+// handler: POST decode, graph build, the size limits and the spec, for
+// each relabelled hits body (one op posts all nine). The service behind
+// the handler is draining, so admission refuses every job with 503: no
+// job is queued, journaled or labeled, and an op is the handler's own
+// work.
+func BenchmarkSubmit(b *testing.B) {
+	var bodies [][]byte
+	for _, req := range hitsRequests(b) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Close()
+	svc.BeginDrain()
+	h := httpapi.New(httpapi.Config{Service: svc})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+			if rec.Code != http.StatusServiceUnavailable {
+				b.Fatalf("status %d, want 503 from the draining service: %s", rec.Code, rec.Body)
+			}
 		}
 	}
 }

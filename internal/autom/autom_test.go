@@ -62,7 +62,7 @@ func checkGroup(t *testing.T, g *Graph, wantOrder *big.Int, name string) *Result
 		t.Fatalf("%s: |Aut| = %v, want %v", name, res.Order, wantOrder)
 	}
 	for i, p := range res.Generators {
-		if !g.isAutomorphism(p) {
+		if !g.isAutomorphism(p, nil) {
 			t.Fatalf("%s: generator %d is not an automorphism: %s", name, i, p.Cycles())
 		}
 		if p.IsIdentity() {
@@ -219,7 +219,7 @@ func TestBudgetTruncationIsSound(t *testing.T) {
 		t.Fatal("tiny budget should not complete on K8")
 	}
 	for _, p := range res.Generators {
-		if !g.isAutomorphism(p) {
+		if !g.isAutomorphism(p, nil) {
 			t.Fatal("truncated search returned a non-automorphism")
 		}
 	}
@@ -280,7 +280,7 @@ func TestGeneratorClosureProperty(t *testing.T) {
 			gen = gen.Inverse()
 		}
 		cur = cur.Compose(gen)
-		if !g.isAutomorphism(cur) {
+		if !g.isAutomorphism(cur, nil) {
 			t.Fatalf("product %d of generators is not an automorphism", i)
 		}
 	}
@@ -329,7 +329,7 @@ func bruteGroupOrder(g *Graph) int {
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {
-			if g.isAutomorphism(perm) {
+			if g.isAutomorphism(perm, nil) {
 				count++
 			}
 			return

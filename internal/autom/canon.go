@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
+	"slices"
 )
 
 // CanonicalOptions bound the canonical labeling search.
@@ -73,15 +75,42 @@ type canonizer struct {
 	disable  bool
 	ctx      context.Context
 
-	best    []byte // column-major adjacency bitmap of the best (minimal) leaf
-	bestLab []int  // elems of the best leaf: position -> vertex
-	bestVer int64  // bumped whenever best is replaced
+	// The incumbent (minimal) leaf. best holds its adjacency bitmap one
+	// column per word run: column j, the bits (i,j) for i < j, starts at
+	// word colOff[j], so a column compares word by word.
+	best    []uint64
+	colOff  []int
+	bestLab []int    // elems of the best leaf: position -> vertex
+	bestVer int64    // bumped whenever best is replaced
+	col     []uint64 // scratch: one column of the current labeling, zero between uses
+
+	levels []*canonLevel // per-depth buffers, reused by every node at that depth
+	perm   Perm          // scratch: the map between two equal leaves
+	mark   []bool        // scratch for isAutomorphism
 
 	gens         []Perm     // verified automorphisms from equal-leaf collisions
 	uf           *unionFind // global orbits under gens (root-level stabilizer)
 	gensVer      int64
 	orbitPrunes  int64
 	prefixPrunes int64
+}
+
+// canonLevel holds what one node of the search needs while its children
+// are explored: the child partition, the candidates of its target cell,
+// the siblings explored so far and the stabilizer orbits.
+type canonLevel struct {
+	child    partition
+	cands    []int
+	explored []int
+	uf       *unionFind
+}
+
+// level returns the buffers of the nodes at depth d.
+func (c *canonizer) level(d int) *canonLevel {
+	for len(c.levels) <= d {
+		c.levels = append(c.levels, &canonLevel{})
+	}
+	return c.levels[d]
 }
 
 // CanonicalForm computes a canonical labeling of g by
@@ -119,6 +148,13 @@ func CanonicalForm(g *Graph, opts CanonicalOptions) *Canonical {
 		ctx:      opts.Context,
 		disable:  opts.DisablePruning,
 		uf:       newUnionFind(n),
+		colOff:   make([]int, n+1),
+		col:      make([]uint64, (n+63)/64),
+		perm:     make(Perm, n),
+		mark:     make([]bool, n),
+	}
+	for j := 0; j < n; j++ {
+		c.colOff[j+1] = c.colOff[j] + (j+63)/64
 	}
 	if c.maxNodes == 0 {
 		c.maxNodes = 200000
@@ -129,20 +165,19 @@ func CanonicalForm(g *Graph, opts CanonicalOptions) *Canonical {
 		work = append(work, i)
 	}
 	refineRecord(g, p, work, c.rf, nil, c.pollCancel)
-	c.explore(p, 0, 0)
+	c.explore(p, 0, 0, 0)
 	if c.bestLab == nil {
 		// The context died before the first leaf completed: fall back to
 		// the root-refined ordering. Still a valid relabelling (sound key,
 		// equal encodings imply isomorphic graphs), just inexact.
 		c.aborted = true
-		c.bestLab = append([]int(nil), p.elems...)
-		c.best = adjacencyBits(g, c.bestLab)
+		c.setBest(p)
 	}
 	out.Perm = make(Perm, n)
 	for pos, v := range c.bestLab {
 		out.Perm[v] = pos
 	}
-	out.Bytes = encodeCanonical(g, c.bestLab, c.best)
+	out.Bytes = encodeCanonical(g, c.bestLab, c.writeBest)
 	out.Hash = sha256.Sum256(out.Bytes)
 	out.Exact = !c.aborted
 	out.Nodes = c.nodes
@@ -152,22 +187,22 @@ func CanonicalForm(g *Graph, opts CanonicalOptions) *Canonical {
 	return out
 }
 
-// explore walks the individualization-refinement tree depth-first.
-// fixed is the parent's determined prefix length (singleton positions);
-// cmp is the comparison of the node's determined encoding prefix against
-// the incumbent leaf: 0 equal so far, -1 already strictly smaller. A node
-// whose prefix exceeds the incumbent never recurses (prefix pruning),
-// candidates mapped onto an explored sibling by a discovered automorphism
-// are skipped (orbit pruning), and a leaf that ties the incumbent yields a
-// verified generator instead of a relabelling.
-func (c *canonizer) explore(p *partition, fixed, cmp int) {
+// explore walks the individualization-refinement tree depth-first from a
+// node at the given depth. fixed is the parent's determined prefix length
+// (singleton positions); cmp is the comparison of the node's determined
+// encoding prefix against the incumbent leaf: 0 equal so far, -1 already
+// strictly smaller. A node whose prefix exceeds the incumbent never
+// recurses (prefix pruning), candidates mapped onto an explored sibling by
+// a discovered automorphism are skipped (orbit pruning), and a leaf that
+// ties the incumbent yields a verified generator instead of a relabelling.
+func (c *canonizer) explore(p *partition, depth, fixed, cmp int) {
 	t := p.firstNonSingleton()
 	det := t
 	if t < 0 {
 		det = p.n()
 	}
-	if !c.disable && cmp == 0 && c.best != nil && det > fixed {
-		switch c.compareColumns(p.elems, fixed, det) {
+	if !c.disable && cmp == 0 && c.bestLab != nil && det > fixed {
+		switch c.compareColumns(p, fixed, det) {
 		case 1:
 			c.prefixPrunes++
 			return
@@ -179,24 +214,25 @@ func (c *canonizer) explore(p *partition, fixed, cmp int) {
 		c.leaf(p, cmp)
 		return
 	}
-	cands := append([]int(nil), p.elems[t:t+p.clen[t]]...)
+	lv := c.level(depth)
+	lv.cands = append(lv.cands[:0], p.elems[t:t+p.clen[t]]...)
+	lv.explored = lv.explored[:0]
 	var (
 		localUF  *unionFind
 		localVer int64 = -1
-		explored []int
 	)
 	ver := c.bestVer
-	for _, u := range cands {
+	for _, u := range lv.cands {
 		if c.budgetExceeded() {
 			return
 		}
-		if !c.disable && len(c.gens) > 0 && len(explored) > 0 {
+		if !c.disable && len(c.gens) > 0 && len(lv.explored) > 0 {
 			if localVer != c.gensVer {
-				localUF = c.stabilizerOrbits(p, t)
+				localUF = c.stabilizerOrbits(p, t, lv)
 				localVer = c.gensVer
 			}
 			skip := false
-			for _, w := range explored {
+			for _, w := range lv.explored {
 				if localUF.same(u, w) {
 					skip = true
 					break
@@ -207,14 +243,15 @@ func (c *canonizer) explore(p *partition, fixed, cmp int) {
 				continue
 			}
 		}
-		cp := p.copy()
+		cp := &lv.child
+		p.copyInto(cp)
 		cp.individualize(u)
 		c.nodes++
 		refineRecord(c.g, cp, []int{t, t + 1}, c.rf, nil, c.pollCancel)
 		if c.aborted {
 			return
 		}
-		c.explore(cp, det, cmp)
+		c.explore(cp, depth+1, det, cmp)
 		if c.bestVer != ver {
 			// A descendant installed a new incumbent. Every new best found
 			// inside this loop descends from this node, so the node's
@@ -222,7 +259,7 @@ func (c *canonizer) explore(p *partition, fixed, cmp int) {
 			cmp = 0
 			ver = c.bestVer
 		}
-		explored = append(explored, u)
+		lv.explored = append(lv.explored, u)
 	}
 }
 
@@ -230,41 +267,61 @@ func (c *canonizer) explore(p *partition, fixed, cmp int) {
 // the incumbent, or — when it ties the incumbent byte-for-byte — record
 // the position-wise map between the two labelings as an automorphism.
 func (c *canonizer) leaf(p *partition, cmp int) {
-	if c.best == nil {
-		c.setBest(p.elems)
+	if c.bestLab == nil {
+		c.setBest(p)
 		return
 	}
 	if c.disable {
 		// No prefix comparisons were made on the way down; compare the
 		// whole leaf here and keep only strictly smaller ones.
-		if c.compareColumns(p.elems, 0, p.n()) < 0 {
-			c.setBest(p.elems)
+		if c.compareColumns(p, 0, p.n()) < 0 {
+			c.setBest(p)
 		}
 		return
 	}
 	switch cmp {
 	case -1:
-		c.setBest(p.elems)
+		c.setBest(p)
 	case 0:
 		// Equal encodings: bestLab[i] -> elems[i] preserves adjacency and
 		// (since refinement never moves vertices across the initial color
 		// cells) colors. Verify defensively before trusting it.
-		perm := make(Perm, c.g.n)
+		perm := c.perm
 		for i, v := range c.bestLab {
 			perm[v] = p.elems[i]
 		}
-		if !perm.IsIdentity() && c.g.isAutomorphism(perm) {
-			c.gens = append(c.gens, perm)
-			c.uf.addPerm(perm)
+		if !perm.IsIdentity() && c.g.isAutomorphism(perm, c.mark) {
+			gen := slices.Clone(perm)
+			c.gens = append(c.gens, gen)
+			c.uf.addPerm(gen)
 			c.gensVer++
 		}
 	}
 }
 
-func (c *canonizer) setBest(elems []int) {
-	c.best = adjacencyBits(c.g, elems)
-	c.bestLab = append(c.bestLab[:0], elems...)
+// setBest installs the discrete partition p as the incumbent leaf.
+func (c *canonizer) setBest(p *partition) {
+	if c.best == nil {
+		c.best = make([]uint64, c.colOff[p.n()])
+	}
+	for j := 1; j < p.n(); j++ {
+		col := c.best[c.colOff[j]:c.colOff[j+1]]
+		clear(col)
+		c.fillColumn(col, p, j)
+	}
+	c.bestLab = append(c.bestLab[:0], p.elems...)
 	c.bestVer++
+}
+
+// fillColumn sets, in col, bit i for each position i < j whose vertex is
+// adjacent to the vertex at position j: O(deg) through the neighbour
+// list and p.pos, where a pairwise test would take O(j log deg).
+func (c *canonizer) fillColumn(col []uint64, p *partition, j int) {
+	for _, w := range c.g.adj[p.elems[j]] {
+		if i := p.pos[w]; i < j {
+			col[i>>6] |= 1 << uint(i&63)
+		}
+	}
 }
 
 // stabilizerOrbits returns vertex orbits under the discovered generators
@@ -272,12 +329,17 @@ func (c *canonizer) setBest(elems []int) {
 // elements that permute the node's subtrees among themselves, which is
 // what makes skipping same-orbit siblings sound. At the root (empty
 // prefix) that is the whole discovered group, for which the global
-// union-find is maintained incrementally.
-func (c *canonizer) stabilizerOrbits(p *partition, t int) *unionFind {
+// union-find is maintained incrementally; deeper nodes rebuild their
+// level's union-find.
+func (c *canonizer) stabilizerOrbits(p *partition, t int, lv *canonLevel) *unionFind {
 	if t == 0 {
 		return c.uf
 	}
-	uf := newUnionFind(c.g.n)
+	if lv.uf == nil {
+		lv.uf = newUnionFind(c.g.n)
+	} else {
+		lv.uf.reset()
+	}
 	for _, gen := range c.gens {
 		fixesPrefix := true
 		for i := 0; i < t; i++ {
@@ -287,33 +349,40 @@ func (c *canonizer) stabilizerOrbits(p *partition, t int) *unionFind {
 			}
 		}
 		if fixesPrefix {
-			uf.addPerm(gen)
+			lv.uf.addPerm(gen)
 		}
 	}
-	return uf
+	return lv.uf
 }
 
-// compareColumns compares adjacency columns [lo, hi) of the current
-// labeling against the incumbent leaf in canonical bit order. Because bit
-// (i,j) lives at index j(j-1)/2+i, the pairs internal to the first t
-// positions occupy the contiguous index range [0, t(t-1)/2): once those
-// positions are singletons the comparison is final for every leaf below —
-// the invariant prefix pruning rests on.
-func (c *canonizer) compareColumns(elems []int, lo, hi int) int {
-	if lo < 1 {
-		lo = 1
-	}
-	k := lo * (lo - 1) / 2
+// compareColumns compares adjacency columns [lo, hi) of p's labeling
+// against the incumbent leaf in canonical bit order. Because bit (i,j)
+// lives at index j(j-1)/2+i, the pairs internal to the first t positions
+// occupy the contiguous index range [0, t(t-1)/2): once those positions
+// are singletons the comparison is final for every leaf below — the
+// invariant prefix pruning rests on. Each column is gathered into the
+// scratch words and compared a word at a time: the lowest differing bit
+// decides, and the labeling that has it clear is the smaller.
+func (c *canonizer) compareColumns(p *partition, lo, hi int) int {
+	lo = max(lo, 1)
 	for j := lo; j < hi; j++ {
-		vj := elems[j]
-		for i := 0; i < j; i, k = i+1, k+1 {
-			mine := c.g.hasEdge(elems[i], vj)
-			if best := c.best[k/8]&(1<<uint(k%8)) != 0; mine != best {
-				if best {
-					return -1
+		best := c.best[c.colOff[j]:c.colOff[j+1]]
+		mine := c.col[:len(best)]
+		c.fillColumn(mine, p, j)
+		r := 0
+		for k, b := range best {
+			if d := mine[k] ^ b; d != 0 {
+				if b&(d&-d) != 0 {
+					r = -1
+				} else {
+					r = 1
 				}
-				return 1
+				break
 			}
+		}
+		clear(mine)
+		if r != 0 {
+			return r
 		}
 	}
 	return 0
@@ -327,7 +396,7 @@ func (c *canonizer) budgetExceeded() bool {
 	if c.aborted {
 		return true
 	}
-	if c.best != nil && c.nodes >= c.maxNodes {
+	if c.bestLab != nil && c.nodes >= c.maxNodes {
 		c.aborted = true
 		return true
 	}
@@ -356,35 +425,37 @@ func (c *canonizer) pollCancel() bool {
 	return false
 }
 
-// adjacencyBits packs the upper triangle of the relabelled adjacency
-// matrix column-major: bit (i,j), i<j, set when lab[i] and lab[j] are
-// adjacent, at index j(j-1)/2+i. Column-major order is load-bearing: all
-// pairs among the first t positions precede every pair reaching past
-// them, so a singleton prefix determines a contiguous encoding prefix.
-func adjacencyBits(g *Graph, lab []int) []byte {
-	n := len(lab)
-	out := make([]byte, (n*(n-1)/2+7)/8)
-	k := 0
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			if g.hasEdge(lab[i], lab[j]) {
-				out[k/8] |= 1 << uint(k%8)
+// writeBest writes the incumbent's bitmap in the encoding's bit order:
+// bit (i,j), i<j, at index j(j-1)/2+i, least significant bit first within
+// a byte. Column-major order is load-bearing: all pairs among the first t
+// positions precede every pair reaching past them, so a singleton prefix
+// determines a contiguous encoding prefix.
+func (c *canonizer) writeBest(adj []byte) {
+	for j := 1; j < len(c.bestLab); j++ {
+		base := j * (j - 1) / 2
+		for k, w := range c.best[c.colOff[j]:c.colOff[j+1]] {
+			for ; w != 0; w &= w - 1 {
+				i := base + 64*k + bits.TrailingZeros64(w)
+				adj[i>>3] |= 1 << uint(i&7)
 			}
-			k++
 		}
 	}
-	return out
 }
 
-// encodeCanonical serializes (n, per-position colors, adjacency bitmap).
-// The color sequence by canonical position is itself label-invariant
+// encodeCanonical serializes (n, per-position colors, adjacency bitmap);
+// fill, when non-nil, sets the bitmap's bits in its zeroed bytes. The
+// color sequence by canonical position is itself label-invariant
 // (refinement orders cells by color), so including it keeps differently
 // colored but structurally equal graphs from colliding.
-func encodeCanonical(g *Graph, lab []int, adj []byte) []byte {
+func encodeCanonical(g *Graph, lab []int, fill func(adj []byte)) []byte {
 	out := binary.AppendUvarint(nil, uint64(g.n))
 	for _, v := range lab {
 		out = binary.AppendVarint(out, int64(g.colors[v]))
 	}
-	out = append(out, adj...)
+	n, head := len(lab), len(out)
+	out = append(out, make([]byte, (n*(n-1)/2+7)/8)...)
+	if fill != nil {
+		fill(out[head:])
+	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -145,7 +146,7 @@ func TestCanonicalFormPermIsValidRelabeling(t *testing.T) {
 		for i := range lab {
 			lab[i] = i
 		}
-		enc := encodeCanonical(h, lab, adjacencyBits(h, lab))
+		enc := encodeCanonical(h, lab, func(adj []byte) { copy(adj, adjacencyBits(h, lab)) })
 		if !bytes.Equal(enc, c.Bytes) {
 			t.Fatalf("iter %d: Perm does not reproduce the canonical encoding", iter)
 		}
@@ -196,4 +197,28 @@ func TestCanonicalFormEmptyAndTrivial(t *testing.T) {
 	if !one.Exact || len(one.Perm) != 1 {
 		t.Fatal("single vertex")
 	}
+}
+
+// adjacencyBits is the reference for the canonical bitmap: it tests each
+// pair of positions (i,j), i<j, and sets bit j(j-1)/2+i when lab[i] and
+// lab[j] are adjacent.
+func adjacencyBits(g *Graph, lab []int) []byte {
+	n := len(lab)
+	out := make([]byte, (n*(n-1)/2+7)/8)
+	k := 0
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			if g.hasEdge(lab[i], lab[j]) {
+				out[k/8] |= 1 << uint(k%8)
+			}
+			k++
+		}
+	}
+	return out
+}
+
+// hasEdge reports adjacency by binary search in a's sorted list.
+func (g *Graph) hasEdge(a, b int) bool {
+	_, ok := slices.BinarySearch(g.adj[a], int32(b))
+	return ok
 }

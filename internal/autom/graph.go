@@ -27,6 +27,15 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int32, n), colors: make([]int, n)}
 }
 
+// FromAdjacency returns an uncolored graph over adj without copying it:
+// adj[v] lists v's neighbours in ascending order, without duplicates or
+// self-loops, and u is in adj[v] exactly when v is in adj[u]. The lists
+// are already in search order, so the graph starts frozen (AddEdge and
+// SetColor panic), and the caller must not change them while it is used.
+func FromAdjacency(adj [][]int32) *Graph {
+	return &Graph{n: len(adj), adj: adj, colors: make([]int, len(adj)), frozen: true}
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
@@ -89,25 +98,6 @@ func (g *Graph) freeze() {
 	for _, a := range g.adj {
 		slices.Sort(a)
 	}
-}
-
-// hasEdge reports adjacency via binary search (adjacency lists are sorted
-// once the graph is frozen).
-func (g *Graph) hasEdge(a, b int) bool {
-	l := g.adj[a]
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case l[mid] < int32(b):
-			lo = mid + 1
-		case l[mid] > int32(b):
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // Perm is a vertex permutation: Perm[v] is the image of v.
@@ -190,19 +180,34 @@ func (p Perm) Cycles() string {
 	return out
 }
 
-// isAutomorphism verifies that p preserves colors and adjacency exactly.
-func (g *Graph) isAutomorphism(p Perm) bool {
+// isAutomorphism verifies that p preserves colors and adjacency exactly:
+// for each v, p maps v's neighbours onto p(v)'s, checked in O(deg) by
+// marking p(v)'s neighbours. mark is scratch of n entries, all false, and
+// is left so; nil allocates it.
+func (g *Graph) isAutomorphism(p Perm, mark []bool) bool {
+	if mark == nil {
+		mark = make([]bool, g.n)
+	}
 	for v := 0; v < g.n; v++ {
-		if g.colors[p[v]] != g.colors[v] {
+		pv := p[v]
+		if g.colors[pv] != g.colors[v] || len(g.adj[pv]) != len(g.adj[v]) {
 			return false
 		}
-		if len(g.adj[p[v]]) != len(g.adj[v]) {
-			return false
+		for _, x := range g.adj[pv] {
+			mark[x] = true
 		}
+		maps := true
 		for _, w := range g.adj[v] {
-			if !g.hasEdge(p[v], p[int(w)]) {
-				return false
+			if !mark[p[w]] {
+				maps = false
+				break
 			}
+		}
+		for _, x := range g.adj[pv] {
+			mark[x] = false
+		}
+		if !maps {
+			return false
 		}
 	}
 	return true
@@ -216,10 +221,16 @@ type unionFind struct {
 
 func newUnionFind(n int) *unionFind {
 	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
+	uf.reset()
 	return uf
+}
+
+// reset makes every element its own singleton set again.
+func (u *unionFind) reset() {
+	for i := range u.parent {
+		u.parent[i] = i
+	}
+	clear(u.rank)
 }
 
 func (u *unionFind) find(x int) int {

@@ -198,7 +198,7 @@ func TestCanonicalFormGenerators(t *testing.T) {
 			if perm.IsIdentity() {
 				t.Fatalf("%s: generator %d is the identity", tc.name, i)
 			}
-			if !g.isAutomorphism(perm) {
+			if !g.isAutomorphism(perm, nil) {
 				t.Fatalf("%s: generator %d is not an automorphism: %v", tc.name, i, perm)
 			}
 		}

@@ -52,13 +52,17 @@ func newPartition(colors []int) *partition {
 func (p *partition) n() int { return len(p.elems) }
 
 func (p *partition) copy() *partition {
-	q := &partition{
-		elems: append([]int(nil), p.elems...),
-		pos:   append([]int(nil), p.pos...),
-		cbeg:  append([]int(nil), p.cbeg...),
-		clen:  append([]int(nil), p.clen...),
-	}
+	q := &partition{}
+	p.copyInto(q)
 	return q
+}
+
+// copyInto overwrites q with p, reusing q's arrays.
+func (p *partition) copyInto(q *partition) {
+	q.elems = append(q.elems[:0], p.elems...)
+	q.pos = append(q.pos[:0], p.pos...)
+	q.cbeg = append(q.cbeg[:0], p.cbeg...)
+	q.clen = append(q.clen[:0], p.clen...)
 }
 
 // discrete reports whether all cells are singletons.

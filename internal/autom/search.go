@@ -58,6 +58,7 @@ type searcher struct {
 	tick     int64
 	aborted  bool
 	rf       *refiner // shared refinement buffers
+	mark     []bool   // scratch for isAutomorphism
 	deadline time.Time
 	ctx      context.Context
 }
@@ -80,6 +81,7 @@ func FindAutomorphisms(g *Graph, opts Options) *Result {
 		uf:       newUnionFind(n),
 		maxNodes: opts.MaxNodes,
 		rf:       newRefiner(n),
+		mark:     make([]bool, n),
 		deadline: opts.Deadline,
 		ctx:      opts.Context,
 	}
@@ -200,7 +202,7 @@ func (s *searcher) dfs(cp *partition, lvl int) bool {
 		for i, v := range s.leafLeft {
 			perm[v] = cp.elems[i]
 		}
-		if perm.IsIdentity() || !s.g.isAutomorphism(perm) {
+		if perm.IsIdentity() || !s.g.isAutomorphism(perm, s.mark) {
 			return false
 		}
 		s.gens = append(s.gens, perm)

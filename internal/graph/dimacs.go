@@ -15,11 +15,13 @@ import (
 //
 // Duplicate edge lines (including reversed duplicates, which several DIMACS
 // files contain) are tolerated and collapsed, so M() reports the number of
-// unique undirected edges, which may be lower than the header count.
+// unique undirected edges, which may be lower than the header count. The
+// edges are collected and the graph built once, by FromEdges.
 func ParseDimacs(name string, r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var g *Graph
+	n := -1
+	var edges [][2]int
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -31,11 +33,11 @@ func ParseDimacs(name string, r io.Reader) (*Graph, error) {
 		case 'c':
 			continue
 		case 'p':
-			if g != nil {
+			if n >= 0 {
 				return nil, fmt.Errorf("dimacs line %d: duplicate problem line", lineNo)
 			}
 			var kind string
-			var n, m int
+			var m int
 			if _, err := fmt.Sscanf(line, "p %s %d %d", &kind, &n, &m); err != nil {
 				return nil, fmt.Errorf("dimacs line %d: bad problem line %q: %v", lineNo, line, err)
 			}
@@ -45,19 +47,18 @@ func ParseDimacs(name string, r io.Reader) (*Graph, error) {
 			if n < 0 {
 				return nil, fmt.Errorf("dimacs line %d: negative vertex count %d", lineNo, n)
 			}
-			g = New(name, n)
 		case 'e':
-			if g == nil {
+			if n < 0 {
 				return nil, fmt.Errorf("dimacs line %d: edge before problem line", lineNo)
 			}
 			var a, b int
 			if _, err := fmt.Sscanf(line, "e %d %d", &a, &b); err != nil {
 				return nil, fmt.Errorf("dimacs line %d: bad edge line %q: %v", lineNo, line, err)
 			}
-			if a < 1 || b < 1 || a > g.N() || b > g.N() {
+			if a < 1 || b < 1 || a > n || b > n {
 				return nil, fmt.Errorf("dimacs line %d: endpoint out of range in %q", lineNo, line)
 			}
-			g.AddEdge(a-1, b-1)
+			edges = append(edges, [2]int{a - 1, b - 1})
 		default:
 			return nil, fmt.Errorf("dimacs line %d: unrecognized line %q", lineNo, line)
 		}
@@ -65,10 +66,10 @@ func ParseDimacs(name string, r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g == nil {
+	if n < 0 {
 		return nil, fmt.Errorf("dimacs: no problem line found")
 	}
-	return g, nil
+	return FromEdges(name, n, edges)
 }
 
 // DimacsVertices returns the vertex count a DIMACS document's problem

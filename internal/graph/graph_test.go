@@ -37,7 +37,7 @@ func TestDegreesAndNeighbors(t *testing.T) {
 		t.Fatalf("degrees wrong: %d %d", g.Degree(0), g.Degree(3))
 	}
 	nb := g.Neighbors(0)
-	want := []int{1, 2, 4}
+	want := []int32{1, 2, 4}
 	if len(nb) != 3 || nb[0] != want[0] || nb[1] != want[1] || nb[2] != want[2] {
 		t.Fatalf("Neighbors(0) = %v", nb)
 	}

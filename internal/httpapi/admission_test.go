@@ -152,6 +152,16 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			}
 		})
 	}
+	// Malformed edges, in the forms the edge-list parser hands to
+	// encoding/json, are decode errors like any other bad body.
+	for _, edges := range []string{`[[0,"1"]]`, `[[0,1.5]]`, `[[0,99999999999999999999]]`, `{"0":1}`, `[[0,true]]`, `[[0,[1]]]`} {
+		resp := doReq(t, "POST", srv.URL+"/v1/jobs", `{"n":3,"edges":`+edges+`}`, nil)
+		status := resp.StatusCode
+		detail := decodeEnvelope(t, resp)
+		if status != 400 || detail.Code != CodeInvalidSpec || !strings.HasPrefix(detail.Message, "bad json") {
+			t.Errorf("edges %s: status %d, %s %q; want 400 %s \"bad json...\"", edges, status, detail.Code, detail.Message, CodeInvalidSpec)
+		}
+	}
 	if runs.Load() != 0 {
 		t.Fatalf("rejected submissions invoked the solver %d times", runs.Load())
 	}

@@ -299,12 +299,13 @@ func (a *api) getOnly(h http.HandlerFunc) http.HandlerFunc {
 // running with defaults.
 type JobRequest struct {
 	// Exactly one graph source: a named benchmark, an inline DIMACS .col
-	// document, or an explicit vertex count + edge list.
-	Bench  string   `json:"bench,omitempty"`
-	Dimacs string   `json:"dimacs,omitempty"`
-	Name   string   `json:"name,omitempty"`
-	N      int      `json:"n,omitempty"`
-	Edges  [][2]int `json:"edges,omitempty"`
+	// document, or an explicit vertex count + edge list (decoded without
+	// reflection, see graph.EdgeList).
+	Bench  string         `json:"bench,omitempty"`
+	Dimacs string         `json:"dimacs,omitempty"`
+	Name   string         `json:"name,omitempty"`
+	N      int            `json:"n,omitempty"`
+	Edges  graph.EdgeList `json:"edges,omitempty"`
 
 	K   int    `json:"k,omitempty"`
 	SBP string `json:"sbp,omitempty"`
@@ -357,14 +358,7 @@ func (r *JobRequest) Graph() (*graph.Graph, error) {
 		if name == "" {
 			name = "edges"
 		}
-		g := graph.New(name, r.N)
-		for _, e := range r.Edges {
-			if e[0] < 0 || e[1] < 0 || e[0] >= r.N || e[1] >= r.N {
-				return nil, fmt.Errorf("edge (%d,%d) out of range [0,%d)", e[0], e[1], r.N)
-			}
-			g.AddEdge(e[0], e[1])
-		}
-		return g, nil
+		return graph.FromEdges(name, r.N, r.Edges)
 	}
 }
 

@@ -202,6 +202,53 @@ func TestJournalReplayCompletesJobs(t *testing.T) {
 	}
 }
 
+// TestJournalReplayRetiresDamagedEntry: an entry whose edges do not fit
+// its vertex count cannot be rebuilt. Replay retires it instead of
+// failing the restart, and still resurrects the sound entry beside it.
+func TestJournalReplayRetiresDamagedEntry(t *testing.T) {
+	dir := t.TempDir()
+	jr, err := OpenDiskJournal(dir, store.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for _, e := range []JournalEntry{
+		{ID: "job-1", N: 3, Edges: [][2]int{{0, 1}, {1, 5}}, Spec: JobSpec{K: 3}, Submitted: now},
+		{ID: "job-2", N: 3, Edges: [][2]int{{0, 1}, {1, 2}}, Spec: JobSpec{K: 3}, Submitted: now},
+	} {
+		if err := jr.Record(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr.Close()
+
+	jr2, err := OpenDiskJournal(dir, store.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	svc := New(Config{Workers: 1, Solve: countingSolve(&runs, 0), Journal: jr2})
+	defer svc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if info, err := svc.Wait(ctx, "job-2"); err != nil || info.State != StateDone.String() {
+		t.Fatalf("sound entry job-2: %+v, %v; want done", info, err)
+	}
+	svc.mu.Lock()
+	j := svc.jobs["job-2"]
+	svc.mu.Unlock()
+	<-j.recorded // finish has retired job-2's entry
+	if _, err := svc.Job("job-1"); !errors.Is(err, ErrNoSuchJob) {
+		t.Fatalf("damaged entry job-1 was admitted (err %v)", err)
+	}
+	if st := svc.Stats(); st.Replayed != 1 {
+		t.Fatalf("Stats().Replayed = %d, want 1", st.Replayed)
+	}
+	if got := jr2.Pending(); got != 0 {
+		t.Fatalf("journal still holds %d entries, want the damaged one retired", got)
+	}
+}
+
 // TestJournalDegradedModeAndRecovery: a write failure flips the journal
 // memory-only without failing the calls; healing the disk flushes the
 // backlog so nothing recorded during the spell is lost (and nothing

@@ -20,12 +20,12 @@ import (
 // replayed jobs keep their queue seniority and expire exactly when the
 // original would have.
 type JournalEntry struct {
-	ID     string   `json:"id"`
-	Tenant string   `json:"tenant,omitempty"`
-	Name   string   `json:"name,omitempty"`
-	N      int      `json:"n"`
-	Edges  [][2]int `json:"edges,omitempty"`
-	Spec   JobSpec  `json:"spec"`
+	ID     string         `json:"id"`
+	Tenant string         `json:"tenant,omitempty"`
+	Name   string         `json:"name,omitempty"`
+	N      int            `json:"n"`
+	Edges  graph.EdgeList `json:"edges,omitempty"`
+	Spec   JobSpec        `json:"spec"`
 	// Submitted is the original wall-clock submission time; replay
 	// schedules the job as if it were still waiting since then.
 	Submitted time.Time `json:"submitted"`
@@ -35,13 +35,10 @@ type JournalEntry struct {
 	Deadline time.Time `json:"deadline,omitempty"`
 }
 
-// Graph reconstructs the submitted graph.
-func (e *JournalEntry) Graph() *graph.Graph {
-	g := graph.New(e.Name, e.N)
-	for _, ed := range e.Edges {
-		g.AddEdge(ed[0], ed[1])
-	}
-	return g
+// Graph reconstructs the submitted graph; an entry whose edges do not fit
+// its vertex count (a damaged record) is an error.
+func (e *JournalEntry) Graph() (*graph.Graph, error) {
+	return graph.FromEdges(e.Name, e.N, e.Edges)
 }
 
 // Journal is the durable job log under the service: accepted submissions

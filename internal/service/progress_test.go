@@ -161,3 +161,63 @@ func TestCacheHitReportsNoProgress(t *testing.T) {
 		t.Fatalf("cache hit reported progress: %+v", p)
 	}
 }
+
+// TestFinishedJobKeepsNoProgressWake: a streamer waiting on a job that
+// never reports progress makes the job's wake channel. finish must drop
+// it, and a streamer that asks once the job has ended must not make
+// another; otherwise every streamed job in the finished-job history keeps
+// a channel.
+func TestFinishedJobKeepsNoProgressWake(t *testing.T) {
+	gate := make(chan struct{})
+	silent := reportingSolve(0, nil)
+	svc := New(Config{Workers: 1, Solve: func(ctx context.Context, g *graph.Graph, spec JobSpec, sym []autom.Perm, progress solverutil.ProgressFunc) core.Outcome {
+		<-gate
+		return silent(ctx, g, spec, sym, progress)
+	}})
+	defer svc.Close()
+
+	id, err := svc.Submit(graph.Random("g", 12, 30, 5), JobSpec{K: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	j := svc.jobs[id]
+	svc.mu.Unlock()
+	wake := func() chan struct{} {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.progWake
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	streamed := make(chan bool, 1)
+	go func() {
+		_, more, err := svc.NextProgress(ctx, id, 0)
+		streamed <- err == nil && !more
+	}()
+	for wake() == nil {
+		if ctx.Err() != nil {
+			t.Fatal("the waiting streamer made no wake channel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if !<-streamed {
+		t.Fatal("the streamer did not see the job end")
+	}
+	if _, err := svc.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	<-j.recorded // finish has returned
+	if wake() != nil {
+		t.Fatal("the finished job kept its progress wake channel")
+	}
+
+	if p, more, err := svc.NextProgress(ctx, id, 0); err != nil || more || p.Seq != 0 {
+		t.Fatalf("NextProgress on the finished job = %+v, %v, %v; want Seq 0, no more", p, more, err)
+	}
+	if wake() != nil {
+		t.Fatal("NextProgress made a wake channel for a finished job")
+	}
+}

@@ -419,7 +419,8 @@ type job struct {
 	// Live progress: the latest snapshot, a monotonically increasing
 	// sequence number, and a wake channel closed on every update so
 	// streamers can block without polling. The channel is made only when a
-	// streamer waits, so a job nobody watches keeps none.
+	// streamer waits on a job that is not terminal, and finish drops it, so
+	// a finished job keeps none.
 	prog     Progress
 	progWake chan struct{}
 
@@ -639,6 +640,15 @@ func New(cfg Config) *Service {
 // deliberately not re-applied — the job was admitted once, in its previous
 // life.
 func (s *Service) replayJob(e JournalEntry) {
+	g, err := e.Graph()
+	if err != nil {
+		// Replaying it would fail at every restart: retire it instead.
+		s.logger.Warn("journal entry unreadable; retired", "job", e.ID, "err", err)
+		if err := s.journal.Done(e.ID); err != nil {
+			s.storeErrs.Add(1)
+		}
+		return
+	}
 	tenant := e.Tenant
 	if tenant == "" {
 		tenant = "default"
@@ -660,7 +670,7 @@ func (s *Service) replayJob(e JournalEntry) {
 		id:         e.ID,
 		tenant:     tenant,
 		name:       e.Name,
-		g:          e.Graph(),
+		g:          g,
 		spec:       e.Spec,
 		ctx:        ctx,
 		cancel:     cancel,
@@ -1372,10 +1382,17 @@ func (s *Service) NextProgress(ctx context.Context, id string, afterSeq int64) (
 	}
 	for {
 		j.mu.Lock()
-		if j.prog.Seq > afterSeq {
-			p := j.prog
+		p := j.prog
+		if p.Seq > afterSeq {
 			j.mu.Unlock()
 			return p, true, nil
+		}
+		select {
+		case <-j.done:
+			// Terminal: a job that reports no more needs no wake channel.
+			j.mu.Unlock()
+			return p, false, nil
+		default:
 		}
 		if j.progWake == nil {
 			j.progWake = make(chan struct{})
@@ -1513,6 +1530,12 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	}
 	s.mu.Unlock()
 	close(j.done)
+	// Drop the progress wake channel once done is closed: a streamer
+	// still waiting on it also waits on done, and one that looks after
+	// this sees done closed and makes no channel.
+	j.mu.Lock()
+	j.progWake = nil
+	j.mu.Unlock()
 
 	// The job is terminal: retire its journal entry so a restart does not
 	// resurrect it. Failures flip the journal degraded rather than
@@ -1634,11 +1657,9 @@ func resultFromOutcome(out core.Outcome, spec JobSpec, canonExact bool) *Result 
 	return res
 }
 
-// canonicalize computes the canonical form of a plain (uncolored) graph.
+// canonicalize computes the canonical form of a plain (uncolored) graph,
+// searching over the graph's own sorted lists.
 func canonicalize(ctx context.Context, g *graph.Graph, maxNodes int64) *autom.Canonical {
-	a := autom.NewGraph(g.N())
-	for _, e := range g.Edges() {
-		a.AddEdge(e[0], e[1])
-	}
+	a := autom.FromAdjacency(g.Adjacency())
 	return autom.CanonicalForm(a, autom.CanonicalOptions{MaxNodes: maxNodes, Context: ctx})
 }

@@ -98,7 +98,7 @@ func colorable(g *graph.Graph, col []int, v, k int) bool {
 next:
 	for c := 0; c < k; c++ {
 		for _, w := range g.Neighbors(v) {
-			if w < v && col[w] == c {
+			if int(w) < v && col[w] == c {
 				continue next
 			}
 		}

@@ -302,37 +302,6 @@ func BenchmarkSolverEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverSearchKnobs runs the same instance with the PR's search
-// improvements enabled (chronological backtracking, restart-time clause
-// vivification, dynamic LBD) so the knob-guarded paths stay on the perf
-// radar next to the default-configuration engines above.
-func BenchmarkSolverSearchKnobs(b *testing.B) {
-	b.ReportAllocs()
-	g, _ := graph.Benchmark("myciel4")
-	cfgs := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"chrono", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 1}}}},
-		{"vivify", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{VivifyBudget: 2000}}}},
-		{"dynlbd", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{DynamicLBD: true}}}},
-		{"all", core.Config{Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 1, VivifyBudget: 2000, DynamicLBD: true}}}},
-	}
-	for _, c := range cfgs {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := c.cfg
-			cfg.K, cfg.SBP, cfg.Timeout = 8, encode.SBPNUSC, 30*time.Second
-			for i := 0; i < b.N; i++ {
-				out := core.Solve(context.Background(), g, cfg)
-				if out.Chi != 5 {
-					b.Fatalf("chi=%d status=%v", out.Chi, out.Result.Status)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSBPVariants solves one symmetric instance with the lex-leader
 // layer, in a sub-benchmark named after its one construction, full. The
 // deterministic sbp-clauses/op and sbp-perms/op metrics track how much CNF

@@ -65,9 +65,11 @@ func main() {
 	flag.IntVar(&knobs.GlueLBD, "glue-lbd", 0, "LBD at or below which learnt clauses are kept forever (0 = default 2)")
 	flag.Int64Var(&knobs.ReduceInterval, "reduce-interval", 0, "conflicts between learnt-database reductions (0 = default 2000)")
 	flag.Int64Var(&knobs.RestartBase, "restart-base", 0, "Luby restart unit in conflicts (0 = engine default)")
-	flag.IntVar(&knobs.ChronoThreshold, "chrono", 0, "chronological backtracking threshold in levels (0 = disabled)")
-	flag.Int64Var(&knobs.VivifyBudget, "vivify", 0, "clause-vivification propagation budget per restart (0 = disabled)")
-	flag.BoolVar(&knobs.DynamicLBD, "dynamic-lbd", false, "recompute learnt-clause LBDs during conflict analysis")
+	// The flags of three deleted knobs still parse, so old command lines
+	// keep running; their values are ignored.
+	flag.Int("chrono", 0, "ignored: chronological backtracking was removed")
+	flag.Int64("vivify", 0, "ignored: clause vivification was removed")
+	flag.Bool("dynamic-lbd", false, "ignored: dynamic LBD recomputation was removed")
 	progress := flag.Bool("progress", false, "print live search progress to stderr while solving")
 	storeDir := flag.String("store.dir", "", "batch mode: persist the result cache in this directory (snapshot+WAL)")
 	storeMaxAge := flag.Duration("store.maxage", 0, "drop persisted records older than this at compaction (0 = keep forever)")
@@ -184,8 +186,7 @@ func main() {
 		fmt.Printf("UNKNOWN: budget exhausted with no solution\n")
 	}
 	st := out.Result.Stats
-	fmt.Printf("search: %d decisions, %d restarts, %d chrono backtracks, %d vivified lits, %d LBD updates\n",
-		st.Decisions, st.Restarts, st.ChronoBacktracks, st.VivifiedLits, st.LBDUpdates)
+	fmt.Printf("search: %d decisions, %d restarts\n", st.Decisions, st.Restarts)
 	if p := out.Par; p != nil {
 		fmt.Printf("parallel: %d workers, %d cubes (%d refuted by lookahead, %d conquered), %d clauses shared, %d imported\n",
 			p.Workers, p.CubesGenerated, p.CubesRefuted, p.CubesClosed, p.ClausesExported, p.ClausesImported)
@@ -208,8 +209,8 @@ func liveProgressPrinter() func(p solverutil.Progress) {
 			best = fmt.Sprintf("%d", p.Incumbent)
 		}
 		fmt.Fprintf(os.Stderr,
-			"progress: engine=%s best=%s conflicts=%d restarts=%d learnts=%d vivified=%d lbd-updates=%d\n",
-			p.Engine, best, p.Conflicts, p.Restarts, p.Learnts, p.VivifiedLits, p.LBDUpdates)
+			"progress: engine=%s best=%s conflicts=%d restarts=%d learnts=%d\n",
+			p.Engine, best, p.Conflicts, p.Restarts, p.Learnts)
 	}
 }
 

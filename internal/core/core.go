@@ -26,9 +26,9 @@ import (
 	"repro/internal/symgraph"
 )
 
-// Knobs are the nine search knobs a job may set: the engine knobs plus
+// Knobs are the six search knobs a job may set: the engine knobs plus
 // the cube-and-conquer fan-out. None changes which answer a solve reaches,
-// so the service's result cache leaves all nine out of its key. Config,
+// so the service's result cache leaves all six out of its key. Config,
 // service.JobSpec and the gcolord JSON body embed Knobs by value.
 type Knobs struct {
 	pbsolver.Knobs

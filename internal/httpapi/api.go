@@ -325,7 +325,14 @@ type JobRequest struct {
 	Priority int    `json:"priority,omitempty"`
 	Deadline string `json:"deadline,omitempty"`
 
-	// The nine optional search knobs of core.Knobs, flattened into the
+	// The fields of three deleted search knobs (chronological
+	// backtracking, clause vivification, dynamic LBD). Old bodies still
+	// decode and run at the defaults; a negative value is still refused.
+	ChronoThreshold int   `json:"chrono_threshold,omitempty"`
+	VivifyBudget    int64 `json:"vivify_budget,omitempty"`
+	DynamicLBD      bool  `json:"dynamic_lbd,omitempty"`
+
+	// The six optional search knobs of core.Knobs, flattened into the
 	// body. Excluded from the result cache's key.
 	core.Knobs
 }
@@ -363,7 +370,9 @@ func (r *JobRequest) Graph() (*graph.Graph, error) {
 }
 
 // Spec converts the request's solver parameters to a JobSpec. Bounds are
-// checked later by JobSpec.Validate (via service.SubmitTenant).
+// checked later by JobSpec.Validate (via service.SubmitTenant), except
+// those of the ignored legacy knob fields: a negative one fails here with
+// a *service.ValidationError that lists every invalid field.
 func (r *JobRequest) Spec() (service.JobSpec, error) {
 	var spec service.JobSpec
 	kind, err := service.ParseSBP(r.SBP)
@@ -395,6 +404,20 @@ func (r *JobRequest) Spec() (service.JobSpec, error) {
 			return spec, fmt.Errorf("deadline: %w", err)
 		}
 		spec.Deadline = d
+	}
+	var legacy []service.FieldError
+	if r.ChronoThreshold < 0 {
+		legacy = append(legacy, service.FieldError{Field: "chrono_threshold", Message: "must be >= 0"})
+	}
+	if r.VivifyBudget < 0 {
+		legacy = append(legacy, service.FieldError{Field: "vivify_budget", Message: "must be >= 0"})
+	}
+	if legacy != nil {
+		var verr *service.ValidationError
+		if errors.As(spec.Validate(), &verr) {
+			legacy = append(legacy, verr.Fields...)
+		}
+		return spec, &service.ValidationError{Fields: legacy}
 	}
 	return spec, nil
 }
@@ -439,6 +462,11 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := req.Spec()
+	var verr *service.ValidationError
+	if errors.As(err, &verr) {
+		a.submitError(w, r, err)
+		return
+	}
 	if err != nil {
 		apiError(w, r, http.StatusBadRequest, ErrorDetail{
 			Code: CodeInvalidSpec, Message: err.Error(),

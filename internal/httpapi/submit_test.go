@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -64,11 +65,9 @@ func TestJobRequestJSONGolden(t *testing.T) {
 		K: 7, SBP: "NU+SC", SBPVariant: "involution", Engine: "galena",
 		Portfolio: true, InstanceDependent: true, Timeout: "5s",
 		Priority: 2, Deadline: "30s",
+		ChronoThreshold: 3, VivifyBudget: 500, DynamicLBD: true,
 		Knobs: core.Knobs{
-			Knobs: pbsolver.Knobs{
-				ChronoThreshold: 3, VivifyBudget: 500, DynamicLBD: true,
-				GlueLBD: 4, ReduceInterval: 3000, RestartBase: 64,
-			},
+			Knobs:    pbsolver.Knobs{GlueLBD: 4, ReduceInterval: 3000, RestartBase: 64},
 			Parallel: 2, CubeDepth: 5, ShareLBD: 6,
 		},
 	}
@@ -91,32 +90,74 @@ func TestJobRequestJSONGolden(t *testing.T) {
 	}
 }
 
-// TestKnobsReachSolverOverHTTP: all nine knob JSON names in a POST body
+// TestKnobsReachSolverOverHTTP: all six knob JSON names in a POST body
 // arrive at the solve function as submitted.
 func TestKnobsReachSolverOverHTTP(t *testing.T) {
 	seen := make(chan service.JobSpec, 1)
 	h := stubHandler(t, Config{}, seen)
-	rec := postJob(h, `{"n":3,"edges":[[0,1],[1,2]],"k":3,`+
-		`"chrono_threshold":3,"vivify_budget":500,"dynamic_lbd":true,"glue_lbd":4,`+
+	spec := solvedSpec(t, h, seen, `{"n":3,"edges":[[0,1],[1,2]],"k":3,"glue_lbd":4,`+
 		`"reduce_interval":3000,"restart_base":64,"parallel":2,"cube_depth":5,"share_lbd":6}`)
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
 	want := core.Knobs{
-		Knobs: pbsolver.Knobs{
-			ChronoThreshold: 3, VivifyBudget: 500, DynamicLBD: true,
-			GlueLBD: 4, ReduceInterval: 3000, RestartBase: 64,
-		},
+		Knobs:    pbsolver.Knobs{GlueLBD: 4, ReduceInterval: 3000, RestartBase: 64},
 		Parallel: 2, CubeDepth: 5, ShareLBD: 6,
+	}
+	if spec.Knobs != want {
+		t.Fatalf("solver saw knobs %+v, posted %+v", spec.Knobs, want)
+	}
+}
+
+// TestDeletedKnobFieldsAcceptedAndIgnored: a body that still carries the
+// deleted chrono_threshold, vivify_budget and dynamic_lbd fields reaches
+// the solver with the same spec as one without them, while a negative
+// chrono_threshold or vivify_budget is still a 400 invalid_spec naming
+// the field, next to the body's other invalid fields.
+func TestDeletedKnobFieldsAcceptedAndIgnored(t *testing.T) {
+	seen := make(chan service.JobSpec, 1)
+	h := stubHandler(t, Config{}, seen)
+	const knobs = `"glue_lbd":4,"reduce_interval":3000,"restart_base":64`
+	want := solvedSpec(t, h, seen, `{"n":3,"edges":[[0,1],[1,2]],"k":3,`+knobs+`}`)
+	// A distinct K keeps the second submission from joining the first.
+	got := solvedSpec(t, h, seen, `{"n":3,"edges":[[0,1],[1,2]],"k":4,`+
+		`"chrono_threshold":3,"vivify_budget":500,"dynamic_lbd":true,`+knobs+`}`)
+	got.K = want.K
+	if got != want {
+		t.Fatalf("solver saw %+v, want %+v", got, want)
+	}
+	for body, fields := range map[string][]string{
+		`{"n":3,"edges":[[0,1]],"chrono_threshold":-1}`:                    {"chrono_threshold"},
+		`{"n":3,"edges":[[0,1]],"vivify_budget":-5,"priority":99}`:         {"vivify_budget", "priority"},
+		`{"n":3,"edges":[[0,1]],"chrono_threshold":-2,"vivify_budget":-2}`: {"chrono_threshold", "vivify_budget"},
+	} {
+		rec := postJob(h, body)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest || env.Error.Code != CodeInvalidSpec {
+			t.Fatalf("%s: status %d body %s, want 400 %s", body, rec.Code, rec.Body, CodeInvalidSpec)
+		}
+		var named []string
+		for _, f := range env.Error.Fields {
+			named = append(named, f.Field)
+		}
+		if !slices.Equal(named, fields) {
+			t.Errorf("%s: fields %v, want %v", body, named, fields)
+		}
+	}
+}
+
+// solvedSpec posts body, which must be accepted, and returns the spec the
+// stub solver then receives on seen.
+func solvedSpec(t *testing.T, h http.Handler, seen <-chan service.JobSpec, body string) service.JobSpec {
+	t.Helper()
+	rec := postJob(h, body)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
 	}
 	select {
 	case spec := <-seen:
-		if spec.Knobs != want {
-			t.Fatalf("solver saw knobs %+v, posted %+v", spec.Knobs, want)
-		}
+		return spec
 	case <-time.After(10 * time.Second):
-		t.Fatal("solver never ran")
+		t.Fatalf("%s: solver never ran", body)
 	}
+	return service.JobSpec{}
 }
 
 // TestRemovedSBPVariantNamesAliasFull: every name a request's sbp_variant
@@ -127,24 +168,10 @@ func TestKnobsReachSolverOverHTTP(t *testing.T) {
 func TestRemovedSBPVariantNamesAliasFull(t *testing.T) {
 	seen := make(chan service.JobSpec, 1)
 	h := stubHandler(t, Config{}, seen)
-	solved := func(body string) service.JobSpec {
-		t.Helper()
-		rec := postJob(h, body)
-		if rec.Code != http.StatusAccepted {
-			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
-		}
-		select {
-		case spec := <-seen:
-			return spec
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: solver never ran", body)
-		}
-		return service.JobSpec{}
-	}
-	want := solved(`{"n":3,"edges":[[0,1],[1,2]],"k":3,"instance_dependent":true}`)
+	want := solvedSpec(t, h, seen, `{"n":3,"edges":[[0,1],[1,2]],"k":3,"instance_dependent":true}`)
 	for i, name := range []string{"", "full", "involution", "inv", "race", "canonset", "canon"} {
 		// Distinct K values keep the submissions from sharing a solve.
-		got := solved(fmt.Sprintf(`{"n":3,"edges":[[0,1],[1,2]],"k":%d,"instance_dependent":true,"sbp_variant":%q}`, 4+i, name))
+		got := solvedSpec(t, h, seen, fmt.Sprintf(`{"n":3,"edges":[[0,1],[1,2]],"k":%d,"instance_dependent":true,"sbp_variant":%q}`, 4+i, name))
 		got.K = want.K
 		if got != want {
 			t.Errorf("%q: solver saw %+v, want %+v", name, got, want)

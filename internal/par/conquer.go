@@ -328,9 +328,6 @@ func (m *merger) record(wid int, p solverutil.Progress) {
 		Engine:    "par:" + p.Engine,
 		Incumbent: m.pool.best(),
 	}
-	if p.Engine == "" {
-		merged.Engine = "par"
-	}
 	for i := range m.per {
 		q := &m.per[i]
 		merged.Conflicts += q.Conflicts
@@ -340,9 +337,6 @@ func (m *merger) record(wid int, p solverutil.Progress) {
 		merged.Learnts += q.Learnts
 		merged.Reduces += q.Reduces
 		merged.Removed += q.Removed
-		merged.ChronoBacktracks += q.ChronoBacktracks
-		merged.VivifiedLits += q.VivifiedLits
-		merged.LBDUpdates += q.LBDUpdates
 	}
 	merged.Workers = m.workers
 	merged.CubesTotal = m.pool.total.Load()

@@ -59,13 +59,6 @@ type cdclEngine struct {
 	scratchBuf []cnf.Lit
 	cleanupBuf []int
 
-	// Vivification cursors: where the next restart's pass resumes in the
-	// problem and learnt clause lists (round-robin under the budget).
-	vivHeadCl int
-	vivHeadLt int
-	vivBuf    []cnf.Lit
-	probing   bool // vivification probe in progress: don't save phases
-
 	impBuf  []solverutil.SharedClause // reusable Import drain buffer
 	normBuf cnf.Clause                // reusable clause normalization buffer
 
@@ -325,11 +318,7 @@ func (e *cdclEngine) uncheckedEnqueue(l cnf.Lit, from reasonRef) {
 	} else {
 		e.assign[v] = lFalse
 	}
-	if !e.probing {
-		// Vivification's artificial probe assignments must not overwrite
-		// polarities saved from the real search trajectory.
-		e.phase[v] = l.Sign()
-	}
+	e.phase[v] = l.Sign()
 	e.level[v] = e.decisionLevel()
 	e.reasonCl[v] = from.cl
 	e.reasonBin[v] = from.bin
@@ -476,7 +465,6 @@ func (e *cdclEngine) conflictLits(confl conflict, out []cnf.Lit) []cnf.Lit {
 	case confl.cref != solverutil.CRefUndef:
 		if e.db.Arena.Learnt(confl.cref) {
 			e.bumpClause(confl.cref)
-			e.updateLBD(confl.cref)
 		}
 		for _, u := range e.db.Arena.Lits(confl.cref) {
 			out = append(out, solverutil.DecodeLit(u))
@@ -500,7 +488,6 @@ func (e *cdclEngine) reasonLits(v int, out []cnf.Lit) []cnf.Lit {
 	if rc := e.reasonCl[v]; rc != solverutil.CRefUndef {
 		if e.db.Arena.Learnt(rc) {
 			e.bumpClause(rc)
-			e.updateLBD(rc)
 		}
 		lits := e.db.Arena.Lits(rc)
 		if lits[0]>>1 != uint32(v) {
@@ -595,19 +582,6 @@ func (e *cdclEngine) analyze(confl conflict) ([]cnf.Lit, int, int) {
 // literals (Audemard & Simon's literal-blocks distance).
 func (e *cdclEngine) computeLBD(lits []cnf.Lit) int {
 	return e.lbd.CountLits(lits, e.level)
-}
-
-// updateLBD recomputes a learnt clause's LBD against the current level
-// structure and lowers the stored value when it improved (dynamic LBD;
-// no-op unless Options.DynamicLBD is set).
-func (e *cdclEngine) updateLBD(c solverutil.CRef) {
-	if !e.opts.DynamicLBD {
-		return
-	}
-	if n := e.lbd.Count(e.db.Arena.Lits(c), e.level); n < e.db.Arena.LBD(c) {
-		e.db.Arena.SetLBD(c, n)
-		e.stats.LBDUpdates++
-	}
 }
 
 func (e *cdclEngine) bumpVar(v int) {
@@ -903,21 +877,6 @@ func (e *cdclEngine) solveDecisionAssuming(budget *budget, assumptions []cnf.Lit
 			}
 			learnt, btLevel, lbd := e.analyze(confl)
 			e.exportLearnt(learnt, lbd)
-			// Chronological backtracking: when the backjump would undo
-			// more than ChronoThreshold levels, retreat one level instead
-			// and assert the learnt clause there. The clause stays
-			// asserting (all literals but learnt[0] sit at levels ≤ the
-			// computed backjump level, hence still false), and the rest
-			// of the trail — often unrelated to the conflict — is kept.
-			// This is the simple variant: the literal is recorded at the
-			// retreat level rather than its true assertion level, so a
-			// later backtrack below the retreat level drops the
-			// implication until the watches rediscover it (sound; Nadel &
-			// Ryvchin's out-of-order trail would keep it).
-			if t := e.opts.ChronoThreshold; t > 0 && btLevel > 0 && e.decisionLevel()-btLevel > t {
-				btLevel = e.decisionLevel() - 1
-				e.stats.ChronoBacktracks++
-			}
 			e.cancelUntil(btLevel)
 			e.record(learnt, lbd)
 			if e.opts.Engine == EngineGalena && confl.pc != nil {
@@ -940,10 +899,6 @@ func (e *cdclEngine) solveDecisionAssuming(budget *budget, assumptions []cnf.Lit
 				restartLimit = solverutil.Luby(restartNum) * e.opts.restartBase()
 				e.cancelUntil(0)
 				if !e.importShared() {
-					e.unsatNow = true
-					return StatusUnsat
-				}
-				if e.opts.VivifyBudget > 0 && !e.vivify(e.opts.VivifyBudget) {
 					e.unsatNow = true
 					return StatusUnsat
 				}
@@ -987,18 +942,15 @@ func (e *cdclEngine) solveDecisionAssuming(budget *budget, assumptions []cnf.Lit
 // current incumbent.
 func (e *cdclEngine) progressSnapshot() solverutil.Progress {
 	return solverutil.Progress{
-		Engine:           e.opts.Engine.String(),
-		Incumbent:        e.incumbent,
-		Conflicts:        e.stats.Conflicts,
-		Decisions:        e.stats.Decisions,
-		Propagations:     e.stats.Propagations,
-		Restarts:         e.stats.Restarts,
-		Learnts:          e.stats.Learnts,
-		Reduces:          e.stats.Reduces,
-		Removed:          e.stats.Removed,
-		ChronoBacktracks: e.stats.ChronoBacktracks,
-		VivifiedLits:     e.stats.VivifiedLits,
-		LBDUpdates:       e.stats.LBDUpdates,
+		Engine:       e.opts.Engine.String(),
+		Incumbent:    e.incumbent,
+		Conflicts:    e.stats.Conflicts,
+		Decisions:    e.stats.Decisions,
+		Propagations: e.stats.Propagations,
+		Restarts:     e.stats.Restarts,
+		Learnts:      e.stats.Learnts,
+		Reduces:      e.stats.Reduces,
+		Removed:      e.stats.Removed,
 	}
 }
 

@@ -181,12 +181,11 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 }
 
 // TestRandomWithPhaseSaving repeats the cross-check with a faster restart
-// cadence, once with phase saving and a faster decay, once without phase
-// saving.
+// cadence, once with phase saving and once without.
 func TestRandomWithPhaseSaving(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, opts := range []Options{
-		{VarDecayOverride: 0.8, Knobs: Knobs{RestartBase: 10}},
+		{Knobs: Knobs{RestartBase: 10}},
 		{NoPhaseSaving: true, Knobs: Knobs{RestartBase: 10}},
 	} {
 		for iter := 0; iter < 200; iter++ {
@@ -200,6 +199,32 @@ func TestRandomWithPhaseSaving(t *testing.T) {
 	}
 }
 
+// random3SAT draws a uniform random 3-CNF: every clause has three
+// distinct variables, so unlike testutil.RandomCNF's mixed widths no unit
+// clause settles the formula at the root, and near the 4.26
+// clause/variable threshold the engine has to search.
+func random3SAT(rng *rand.Rand, nVars, nClauses int) *cnf.Formula {
+	f := cnf.NewFormula(nVars)
+	for c := 0; c < nClauses; c++ {
+		cl := make([]cnf.Lit, 0, 3)
+		used := map[int]bool{}
+		for len(cl) < 3 {
+			v := 1 + rng.Intn(nVars)
+			if used[v] {
+				continue
+			}
+			used[v] = true
+			l := cnf.PosLit(v)
+			if rng.Intn(2) == 0 {
+				l = l.Neg()
+			}
+			cl = append(cl, l)
+		}
+		f.AddClause(cl...)
+	}
+	return f
+}
+
 // TestRandom3SATNearThreshold runs instances near the SAT/UNSAT phase
 // transition (ratio ~4.2), large enough to exercise restarts and
 // clause-database reduction, and validates every SAT model.
@@ -207,25 +232,7 @@ func TestRandom3SATNearThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sat, unsat := 0, 0
 	for iter := 0; iter < 12; iter++ {
-		nVars := 50
-		f := cnf.NewFormula(nVars)
-		for c := 0; c < 210; c++ {
-			cl := make([]cnf.Lit, 0, 3)
-			used := map[int]bool{}
-			for len(cl) < 3 {
-				v := 1 + rng.Intn(nVars)
-				if used[v] {
-					continue
-				}
-				used[v] = true
-				l := cnf.PosLit(v)
-				if rng.Intn(2) == 0 {
-					l = l.Neg()
-				}
-				cl = append(cl, l)
-			}
-			f.AddClause(cl...)
-		}
+		f := random3SAT(rng, 50, 210)
 		ok, res := decideCNF(t, f, Options{Knobs: Knobs{RestartBase: 16}})
 		if ok {
 			sat++
@@ -253,20 +260,6 @@ func TestReduceDBPreservesCorrectness(t *testing.T) {
 	}
 }
 
-// clauseEngines are the CDCL engines; on pure CNF they share the clause
-// arena, so every clause-side knob must work on each of them.
-var clauseEngines = []Engine{EnginePBS, EngineGalena, EnginePueblo}
-
-func TestChronoBacktracksCounted(t *testing.T) {
-	res := Decide(context.Background(), clausePigeonhole(6, 5), Options{Knobs: Knobs{ChronoThreshold: 1}})
-	if res.Status != StatusUnsat {
-		t.Fatalf("PHP(6,5) with chrono = %v, want UNSAT", res.Status)
-	}
-	if res.Stats.ChronoBacktracks == 0 {
-		t.Fatal("ChronoThreshold=1 on PHP(6,5) never backtracked chronologically")
-	}
-}
-
 // TestConflictBudget: MaxConflicts stops a clause-form refutation with
 // UNKNOWN once the budget is spent.
 func TestConflictBudget(t *testing.T) {
@@ -279,68 +272,35 @@ func TestConflictBudget(t *testing.T) {
 	}
 }
 
-// TestVivificationShrinksRedundantSuffix: in (a ∨ b ∨ c ∨ d) next to
-// (a ∨ b), ¬a propagates b, so the suffix c, d is redundant and every
-// engine's vivification pass must strip it.
-func TestVivificationShrinksRedundantSuffix(t *testing.T) {
-	for _, eng := range clauseEngines {
-		f := clausePigeonhole(5, 4) // conflict-rich so restarts (and passes) happen
-		a, b, c, d := f.NewVar(), f.NewVar(), f.NewVar(), f.NewVar()
-		f.AddClause(lit(a), lit(b))
-		f.AddClause(lit(a), lit(b), lit(c), lit(d))
-		res := Decide(context.Background(), f, Options{
-			Engine: eng, Knobs: Knobs{RestartBase: 1, VivifyBudget: 10000},
-		})
-		if res.Status != StatusUnsat {
-			t.Fatalf("%v: PHP(5,4)+gadget = %v, want UNSAT", eng, res.Status)
-		}
-		if res.Stats.VivifiedLits < 2 {
-			t.Fatalf("%v: VivifiedLits = %d, want >= 2 (gadget suffix c, d is implied redundant)",
-				eng, res.Stats.VivifiedLits)
-		}
-	}
-}
-
-func TestDynamicLBDRetiersClauses(t *testing.T) {
-	for _, eng := range clauseEngines {
-		res := Decide(context.Background(), clausePigeonhole(7, 6), Options{Engine: eng, Knobs: Knobs{DynamicLBD: true}})
-		if res.Status != StatusUnsat {
-			t.Fatalf("%v: PHP(7,6) = %v, want UNSAT", eng, res.Status)
-		}
-		if res.Stats.LBDUpdates == 0 {
-			t.Fatalf("%v: DynamicLBD on PHP(7,6) never improved a stored LBD", eng)
-		}
-	}
-}
-
 // TestKnobsAgreeWithBruteForce cross-checks every knob combination against
-// exhaustive enumeration on random small CNFs: the knobs steer the search,
-// never the answer.
+// exhaustive enumeration on random small 3-CNFs near the threshold: the
+// knobs steer the search, never the answer.
 func TestKnobsAgreeWithBruteForce(t *testing.T) {
 	knobSets := []Options{
-		{Knobs: Knobs{ChronoThreshold: 1}},
-		{Knobs: Knobs{ChronoThreshold: 3}},
-		{Knobs: Knobs{VivifyBudget: 500, RestartBase: 1}},
-		{Knobs: Knobs{DynamicLBD: true}},
-		{Knobs: Knobs{ChronoThreshold: 1, VivifyBudget: 500, DynamicLBD: true, RestartBase: 1}},
+		{Knobs: Knobs{GlueLBD: 1, ReduceInterval: 1}},
+		{Knobs: Knobs{GlueLBD: 6, ReduceInterval: 2}},
+		{Knobs: Knobs{ReduceInterval: 4, RestartBase: 1}},
+		{Knobs: Knobs{RestartBase: 1}},
+		{Knobs: Knobs{GlueLBD: 1, ReduceInterval: 2, RestartBase: 1}},
 	}
 	rng := rand.New(rand.NewSource(20260726))
+	var acted Stats
 	for iter := 0; iter < 60; iter++ {
-		f := testutil.RandomCNF(rng, 8+rng.Intn(5), 30+rng.Intn(25), 3)
+		n := 10 + rng.Intn(5)
+		f := random3SAT(rng, n, 4*n+rng.Intn(n))
 		want, _ := testutil.BruteForceSAT(f)
 		for ki, opts := range knobSets {
-			if got, _ := decideCNF(t, f, opts); got != want {
+			got, res := decideCNF(t, f, opts)
+			if got != want {
 				t.Fatalf("iter %d knobs %d: engine sat=%t, brute force sat=%t", iter, ki, got, want)
 			}
+			acted.Add(res.Stats)
 		}
 	}
-}
-
-func TestChronoDisabledByDefault(t *testing.T) {
-	res := Decide(context.Background(), clausePigeonhole(6, 5), Options{})
-	if n := res.Stats.ChronoBacktracks; n != 0 {
-		t.Fatalf("default options produced %d chrono backtracks, want 0", n)
+	for _, opts := range knobSets {
+		acted.Add(checkPigeonholes(t, opts, clausePigeonhole))
 	}
+	requireKnobsActed(t, acted)
 }
 
 func TestStatsAccumulate(t *testing.T) {

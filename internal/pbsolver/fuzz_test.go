@@ -11,8 +11,10 @@ import (
 
 // cnfFromFuzz decodes fuzz input into a small CNF formula plus solver
 // options, deterministically. Byte 0 picks the variable count, byte 1 the
-// knob set; each following byte is a literal, with 0 acting as a clause
-// separator. Formulas are capped small enough for the brute-force oracle.
+// knob set (bits 0–1 GlueLBD, bits 2–3 a small ReduceInterval, bit 4
+// RestartBase 1; zero bits keep the defaults); each following byte is a
+// literal, with 0 acting as a clause separator. Formulas are capped small
+// enough for the brute-force oracle.
 func cnfFromFuzz(data []byte) (*cnf.Formula, Options, bool) {
 	if len(data) < 3 {
 		return nil, Options{}, false
@@ -20,12 +22,9 @@ func cnfFromFuzz(data []byte) (*cnf.Formula, Options, bool) {
 	nVars := 1 + int(data[0]%12)
 	knobs := data[1]
 	opts := Options{Knobs: Knobs{
-		ChronoThreshold: int(knobs % 4),
-		DynamicLBD:      knobs&8 != 0,
+		GlueLBD:        int(knobs % 4),
+		ReduceInterval: int64(knobs>>2&3) * 4,
 	}}
-	if knobs&4 != 0 {
-		opts.VivifyBudget = 200
-	}
 	if knobs&16 != 0 {
 		opts.RestartBase = 1
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // clausePigeonhole is PHP(pigeons, holes) in pure clause form (long
-// at-least-one rows plus pairwise at-most-one binaries), so conflicts and
-// vivification exercise the clause arena rather than the PB rows.
+// at-least-one rows plus pairwise at-most-one binaries), so conflicts
+// exercise the clause arena rather than the PB rows.
 func clausePigeonhole(pigeons, holes int) *pb.Formula {
 	f := pb.NewFormula(pigeons * holes)
 	x := func(p, h int) cnf.Lit { return cnf.PosLit(p*holes + h + 1) }
@@ -32,59 +32,54 @@ func clausePigeonhole(pigeons, holes int) *pb.Formula {
 	return f
 }
 
-func TestChronoBacktracksCountedPB(t *testing.T) {
-	for _, eng := range []Engine{EnginePBS, EngineGalena, EnginePueblo} {
-		f := pigeonPB(6, 5)
-		res := Decide(context.Background(), f, Options{Engine: eng, Knobs: Knobs{ChronoThreshold: 1}})
-		if res.Status != StatusUnsat {
-			t.Fatalf("%v: PHP-PB(6,5) = %v, want UNSAT", eng, res.Status)
+// checkPigeonholes decides PHP(6,5) (UNSAT) and PHP(5,5) (SAT), built by
+// php, under opts and returns their counters. Formulas small enough to
+// enumerate never fill the learnt database; these do, so the reduction
+// knobs act on them.
+func checkPigeonholes(t *testing.T, opts Options, php func(pigeons, holes int) *pb.Formula) Stats {
+	t.Helper()
+	var st Stats
+	for _, c := range []struct {
+		pigeons int
+		sat     bool
+	}{{6, false}, {5, true}} {
+		f := php(c.pigeons, 5)
+		res := Decide(context.Background(), f, opts)
+		switch {
+		case res.Status == StatusUnknown || (res.Status == StatusOptimal) != c.sat:
+			t.Fatalf("PHP(%d,5) %v knobs %+v: %v, want sat=%t", c.pigeons, opts.Engine, opts.Knobs, res.Status, c.sat)
+		case c.sat && !f.Satisfies(res.Model):
+			t.Fatalf("PHP(%d,5) %v knobs %+v: model infeasible", c.pigeons, opts.Engine, opts.Knobs)
 		}
-		if res.Stats.ChronoBacktracks == 0 {
-			t.Errorf("%v: ChronoThreshold=1 never backtracked chronologically", eng)
-		}
+		st.Add(res.Stats)
+	}
+	return st
+}
+
+// requireKnobsActed fails unless the searches reduced the learnt database
+// and restarted: on formulas that need no search every knob passes.
+func requireKnobsActed(t *testing.T, acted Stats) {
+	t.Helper()
+	if acted.Reduces == 0 || acted.Restarts == 0 {
+		t.Fatalf("the knobs never acted (%d reductions, %d restarts)", acted.Reduces, acted.Restarts)
 	}
 }
 
-func TestVivificationShrinksClausesPB(t *testing.T) {
-	f := clausePigeonhole(5, 4)
-	// Gadget: (a ∨ b) makes the suffix of (a ∨ b ∨ c ∨ d) redundant.
-	a, b, c, d := f.NewVar(), f.NewVar(), f.NewVar(), f.NewVar()
-	f.AddClause(cnf.PosLit(a), cnf.PosLit(b))
-	f.AddClause(cnf.PosLit(a), cnf.PosLit(b), cnf.PosLit(c), cnf.PosLit(d))
-	res := Decide(context.Background(), f, Options{
-		Engine: EnginePBS, Knobs: Knobs{RestartBase: 1, VivifyBudget: 10000},
-	})
-	if res.Status != StatusUnsat {
-		t.Fatalf("PHP(5,4)+gadget = %v, want UNSAT", res.Status)
-	}
-	if res.Stats.VivifiedLits < 2 {
-		t.Fatalf("VivifiedLits = %d, want >= 2", res.Stats.VivifiedLits)
-	}
-}
-
-func TestDynamicLBDRetiersClausesPB(t *testing.T) {
-	f := clausePigeonhole(7, 6)
-	res := Decide(context.Background(), f, Options{Engine: EnginePBS, Knobs: Knobs{DynamicLBD: true}})
-	if res.Status != StatusUnsat {
-		t.Fatalf("PHP(7,6) = %v, want UNSAT", res.Status)
-	}
-	if res.Stats.LBDUpdates == 0 {
-		t.Fatal("DynamicLBD never improved a stored LBD")
-	}
-}
-
-// TestKnobsAgreeWithBruteForcePB checks that the new search knobs never
-// change Optimize answers on random mixed clause/PB instances.
+// TestKnobsAgreeWithBruteForcePB checks that the search knobs never
+// change Optimize answers on random 3-CNFs with an objective, whose
+// bounds the linear search adds as PB rows.
 func TestKnobsAgreeWithBruteForcePB(t *testing.T) {
 	knobSets := []Options{
-		{Knobs: Knobs{ChronoThreshold: 1}},
-		{Knobs: Knobs{VivifyBudget: 300, RestartBase: 1}},
-		{Knobs: Knobs{DynamicLBD: true}},
-		{Knobs: Knobs{ChronoThreshold: 2, VivifyBudget: 300, DynamicLBD: true, RestartBase: 1}},
+		{Knobs: Knobs{GlueLBD: 1, ReduceInterval: 1}},
+		{Knobs: Knobs{ReduceInterval: 4, RestartBase: 1}},
+		{Knobs: Knobs{RestartBase: 1}},
+		{Knobs: Knobs{GlueLBD: 1, ReduceInterval: 2, RestartBase: 1}},
 	}
 	rng := rand.New(rand.NewSource(777))
+	var acted Stats
 	for iter := 0; iter < 25; iter++ {
-		f := randomPBFormula(rng, 6+rng.Intn(4))
+		n := 9 + rng.Intn(4)
+		f := pb.FromCNF(random3SAT(rng, n, 3*n+rng.Intn(n)))
 		withObjective(rng, f)
 		feasible, optimum := bruteOptimum(f)
 		for ki, base := range knobSets {
@@ -92,6 +87,7 @@ func TestKnobsAgreeWithBruteForcePB(t *testing.T) {
 				opts := base
 				opts.Engine = eng
 				res := Optimize(context.Background(), f, opts)
+				acted.Add(res.Stats)
 				if feasible {
 					if res.Status != StatusOptimal {
 						t.Fatalf("iter %d knobs %d %v: status %v, want OPTIMAL", iter, ki, eng, res.Status)
@@ -108,4 +104,12 @@ func TestKnobsAgreeWithBruteForcePB(t *testing.T) {
 			}
 		}
 	}
+	for _, base := range knobSets {
+		for _, eng := range []Engine{EnginePBS, EngineGalena, EnginePueblo} {
+			opts := base
+			opts.Engine = eng
+			acted.Add(checkPigeonholes(t, opts, pigeonPB))
+		}
+	}
+	requireKnobsActed(t, acted)
 }

@@ -163,16 +163,19 @@ func TestIncrementalReuseAcrossAssumptionProbes(t *testing.T) {
 	}
 }
 
-// TestKnobsWithAssumptions exercises chrono + vivify + dynamic LBD under
-// the incremental assumption interface (the chromatic-probe path).
+// TestKnobsWithAssumptions exercises aggressive learnt-database reduction
+// and restarts under the incremental assumption interface (the
+// chromatic-probe path).
 func TestKnobsWithAssumptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	opts := Options{Knobs: Knobs{ChronoThreshold: 1, VivifyBudget: 200, DynamicLBD: true, RestartBase: 1}}
+	opts := Options{Knobs: Knobs{GlueLBD: 1, ReduceInterval: 2, RestartBase: 1}}
+	var acted Stats
 	for iter := 0; iter < 25; iter++ {
-		f := testutil.RandomCNF(rng, 10, 35, 3)
+		f := random3SAT(rng, 12, 50)
 		s := cnfSession(f, opts)
 		a := []cnf.Lit{cnf.PosLit(1 + rng.Intn(10))}
 		got := s.DecideAssuming(a)
+		acted.Add(s.Stats())
 		fa := withUnits(f, a)
 		want, _ := testutil.BruteForceSAT(fa)
 		if (got == StatusSat) != want || got == StatusUnknown {
@@ -184,4 +187,24 @@ func TestKnobsWithAssumptions(t *testing.T) {
 			}
 		}
 	}
+	// PHP(6,5) is UNSAT under any assumption; PHP(5,5) stays SAT with
+	// pigeon 0 in hole 0.
+	for _, c := range []struct {
+		pigeons int
+		sat     bool
+	}{{6, false}, {5, true}} {
+		f := clausePigeonhole(c.pigeons, 5)
+		s := NewSession(context.Background(), f, opts)
+		got := s.DecideAssuming([]cnf.Lit{cnf.PosLit(1)})
+		acted.Add(s.Stats())
+		if got == StatusUnknown || (got == StatusSat) != c.sat {
+			t.Fatalf("PHP(%d,5) assuming x1: %v, want sat=%t", c.pigeons, got, c.sat)
+		}
+		if c.sat {
+			if m := s.Model(); !f.Satisfies(m) || !m[1] {
+				t.Fatalf("PHP(%d,5) assuming x1: model infeasible", c.pigeons)
+			}
+		}
+	}
+	requireKnobsActed(t, acted)
 }

@@ -106,19 +106,6 @@ func (s Status) String() string {
 // every engine default. core.Knobs embeds them, so the JSON tags are the
 // gcolord wire names.
 type Knobs struct {
-	// ChronoThreshold enables chronological backtracking (Nadel & Ryvchin
-	// 2018): when the backjump level is more than this many levels below
-	// the conflict level, backtrack a single level instead and assert the
-	// learnt clause there. 0 disables. Ignored by EngineBnB (which is
-	// chronological by construction).
-	ChronoThreshold int `json:"chrono_threshold,omitempty"`
-	// VivifyBudget enables clause vivification at restarts: up to this
-	// many propagations are spent per restart shrinking long clauses
-	// whose suffix is implied. 0 disables. Ignored by EngineBnB.
-	VivifyBudget int64 `json:"vivify_budget,omitempty"`
-	// DynamicLBD recomputes learnt-clause LBDs during conflict analysis,
-	// re-tiering glue clauses as the search evolves. Ignored by EngineBnB.
-	DynamicLBD bool `json:"dynamic_lbd,omitempty"`
 	// GlueLBD is the LBD at or below which learnt clauses are never
 	// deleted (Audemard & Simon 2009); 0 selects 2.
 	GlueLBD int `json:"glue_lbd,omitempty"`
@@ -144,9 +131,6 @@ type Options struct {
 	Timeout time.Duration
 	// NoPhaseSaving disables progress saving on decisions.
 	NoPhaseSaving bool
-	// VarDecayOverride replaces the engine's VSIDS decay when nonzero
-	// (used by ablation benches).
-	VarDecayOverride float64
 	Knobs
 	// Export, when non-nil, receives every learnt clause whose LBD is at
 	// or below ExportLBD (clause sharing between cooperating engines, e.g.
@@ -166,7 +150,7 @@ type Options struct {
 	Import solverutil.ImportFunc
 	// Progress, when non-nil, receives rate-limited snapshots of the
 	// search counters from the solving goroutine: the engine's conflict /
-	// restart / learnt / LBD counters plus the optimization loop's best
+	// restart / learnt / reduction counters plus the optimization loop's best
 	// objective so far (Incumbent). Under PortfolioSolve every racing
 	// engine invokes the same callback concurrently, each tagging its
 	// snapshots with its Engine name, so implementations must be safe for
@@ -179,9 +163,6 @@ type Options struct {
 }
 
 func (o Options) varDecay() float64 {
-	if o.VarDecayOverride != 0 {
-		return o.VarDecayOverride
-	}
 	if o.Engine == EnginePueblo {
 		return 0.90
 	}
@@ -243,14 +224,6 @@ type Stats struct {
 	Reduces      int64 // learnt-database reductions
 	Removed      int64 // learnt clauses deleted by reductions
 	ArenaGCs     int64 // clause-arena compactions
-	// ChronoBacktracks counts conflicts resolved by a one-level
-	// chronological backtrack instead of a full backjump.
-	ChronoBacktracks int64
-	// VivifiedLits counts literals removed from clauses by vivification.
-	VivifiedLits int64
-	// LBDUpdates counts learnt clauses whose LBD improved during dynamic
-	// recomputation.
-	LBDUpdates int64
 	// Exported and Imported count learnt clauses that crossed the
 	// Options.Export / Options.Import sharing hooks.
 	Exported    int64
@@ -274,9 +247,6 @@ func (s *Stats) add(o Stats) {
 	s.Reduces += o.Reduces
 	s.Removed += o.Removed
 	s.ArenaGCs += o.ArenaGCs
-	s.ChronoBacktracks += o.ChronoBacktracks
-	s.VivifiedLits += o.VivifiedLits
-	s.LBDUpdates += o.LBDUpdates
 	s.Exported += o.Exported
 	s.Imported += o.Imported
 	s.Nodes += o.Nodes

@@ -26,13 +26,12 @@ type CacheRecord struct {
 	CanonColoring []int `json:"coloring,omitempty"`
 	// Winner names the engine that produced the result ("" if unknown).
 	Winner string `json:"winner,omitempty"`
-	// Runtime, Conflicts and the knob counters are the original solve's,
-	// reported verbatim to every cache hit.
-	Runtime          time.Duration `json:"runtime"`
-	Conflicts        int64         `json:"conflicts"`
-	ChronoBacktracks int64         `json:"chrono_backtracks,omitempty"`
-	VivifiedLits     int64         `json:"vivified_lits,omitempty"`
-	LBDUpdates       int64         `json:"lbd_updates,omitempty"`
+	// Runtime and Conflicts are the original solve's, reported verbatim
+	// to every cache hit. Records persisted with the deleted knob counters
+	// ("chrono_backtracks", "vivified_lits", "lbd_updates") still decode:
+	// encoding/json ignores the unknown keys.
+	Runtime   time.Duration `json:"runtime"`
+	Conflicts int64         `json:"conflicts"`
 }
 
 // Backend is the pluggable storage layer under the canonical result cache:

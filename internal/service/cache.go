@@ -70,14 +70,11 @@ func (e *entry) materialize(g *graph.Graph, canon *autom.Canonical) *Result {
 // is the result's own, so a later hit reports what the solve reported.
 func recordFromResult(res *Result, canon *autom.Canonical) CacheRecord {
 	rec := CacheRecord{
-		Status:           res.Status,
-		Chi:              res.Chi,
-		Winner:           res.Winner,
-		Runtime:          res.Runtime,
-		Conflicts:        res.Conflicts,
-		ChronoBacktracks: res.ChronoBacktracks,
-		VivifiedLits:     res.VivifiedLits,
-		LBDUpdates:       res.LBDUpdates,
+		Status:    res.Status,
+		Chi:       res.Chi,
+		Winner:    res.Winner,
+		Runtime:   res.Runtime,
+		Conflicts: res.Conflicts,
 	}
 	if res.Coloring != nil {
 		rec.CanonColoring = make([]int, len(res.Coloring))
@@ -95,17 +92,14 @@ func recordFromResult(res *Result, canon *autom.Canonical) CacheRecord {
 // hash-colliding disk record — in which case the caller solves directly.
 func materializeRecord(rec CacheRecord, g *graph.Graph, canon *autom.Canonical) *Result {
 	res := &Result{
-		Status:           rec.Status,
-		Solved:           true,
-		Chi:              rec.Chi,
-		Winner:           rec.Winner,
-		Runtime:          rec.Runtime,
-		Conflicts:        rec.Conflicts,
-		ChronoBacktracks: rec.ChronoBacktracks,
-		VivifiedLits:     rec.VivifiedLits,
-		LBDUpdates:       rec.LBDUpdates,
-		CacheHit:         true,
-		CanonExact:       canon.Exact,
+		Status:     rec.Status,
+		Solved:     true,
+		Chi:        rec.Chi,
+		Winner:     rec.Winner,
+		Runtime:    rec.Runtime,
+		Conflicts:  rec.Conflicts,
+		CacheHit:   true,
+		CanonExact: canon.Exact,
 	}
 	if rec.CanonColoring != nil {
 		if len(rec.CanonColoring) != g.N() {

@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
 	"repro/internal/solverutil"
+	"repro/internal/store"
 	"repro/internal/testutil"
 )
 
@@ -35,7 +39,6 @@ func TestKnobPlumbingReachesSolver(t *testing.T) {
 		K: 5, Engine: pbsolver.EnginePueblo,
 		InstanceDependent: true,
 		Knobs: core.Knobs{Knobs: pbsolver.Knobs{
-			ChronoThreshold: 7, VivifyBudget: 1234, DynamicLBD: true,
 			GlueLBD: 3, ReduceInterval: 4000, RestartBase: 64,
 		}},
 	}
@@ -87,7 +90,7 @@ func TestKnobsShareCacheEntries(t *testing.T) {
 	}
 
 	first := submitAndWait(JobSpec{K: 6})
-	tuned := submitAndWait(JobSpec{K: 6, Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 2, VivifyBudget: 500, DynamicLBD: true}}})
+	tuned := submitAndWait(JobSpec{K: 6, Knobs: core.Knobs{Knobs: pbsolver.Knobs{GlueLBD: 5, ReduceInterval: 500, RestartBase: 7}}})
 	if !tuned.CacheHit {
 		t.Fatal("job differing only in search knobs missed the cache")
 	}
@@ -98,7 +101,7 @@ func TestKnobsShareCacheEntries(t *testing.T) {
 		t.Fatalf("solver ran %d times, want 1 (knobs are not part of the key)", runs)
 	}
 
-	other := submitAndWait(JobSpec{K: 7, Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 2}}})
+	other := submitAndWait(JobSpec{K: 7, Knobs: core.Knobs{Knobs: pbsolver.Knobs{GlueLBD: 5}}})
 	if other.CacheHit {
 		t.Fatal("job with a different K (part of the key) hit the cache")
 	}
@@ -115,7 +118,7 @@ func TestDefaultSolveAppliesKnobs(t *testing.T) {
 	g := graph.Random("oracle", 8, 16, 1)
 	chi := testutil.BruteForceChromatic(g)
 	id, err := svc.Submit(g, JobSpec{
-		K: 8, Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 1, VivifyBudget: 500, DynamicLBD: true}},
+		K: 8, Knobs: core.Knobs{Knobs: pbsolver.Knobs{GlueLBD: 1, ReduceInterval: 4, RestartBase: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +135,120 @@ func TestDefaultSolveAppliesKnobs(t *testing.T) {
 	}
 	if err := testutil.CheckColoring(g, info.Result.Coloring, 8); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// deletedKnobs are the keys of the chronological backtracking,
+// vivification and dynamic LBD knobs as an earlier build journaled them.
+const deletedKnobs = `"chrono_threshold":3,"vivify_budget":500,"dynamic_lbd":true`
+
+// TestJournalReplaysDeletedKnobs: a journal entry written while the
+// chronological backtracking, vivification and dynamic LBD knobs still
+// ran holds their keys; after a restart it replays at the defaults and
+// proves the brute-force χ.
+func TestJournalReplaysDeletedKnobs(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Random("legacy-knobs", 8, 16, 4)
+	chi := testutil.BruteForceChromatic(g)
+	e := JournalEntry{ID: "job-1", Name: g.Name(), N: g.N(), Edges: g.Edges(),
+		Spec: JobSpec{K: 8}, Submitted: time.Now()}
+	raw, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = []byte(strings.Replace(string(raw), `"timeout":0`, `"timeout":0,`+deletedKnobs, 1))
+	if !strings.Contains(string(raw), deletedKnobs) {
+		t.Fatalf("journal entry %s does not hold the deleted knobs", raw)
+	}
+	if err := st.Put(e.ID, raw); err != nil {
+		t.Fatal(err)
+	}
+	st.Close() // the crash: the entry was never marked done
+
+	jr, err := OpenDiskJournal(dir, store.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Workers: 1, DefaultTimeout: 30 * time.Second, Journal: jr})
+	defer svc.Close()
+	info, err := svc.Wait(context.Background(), e.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Result == nil || !info.Result.Solved || info.Result.Chi != chi {
+		t.Fatalf("replayed job: %+v, want solved with chi %d", info.Result, chi)
+	}
+	if err := testutil.CheckColoring(g, info.Result.Coloring, 8); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPersistedKnobCountersStillHit: a cache record persisted while the
+// deleted knobs ran may hold their counters ("chrono_backtracks",
+// "vivified_lits", "lbd_updates"); a restarted service still serves it
+// as a hit, with no solver run.
+func TestPersistedKnobCountersStillHit(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.Random("legacy-record", 14, 40, 9)
+	backend, err := OpenDiskBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	svc := New(Config{Workers: 1, Backend: backend, Solve: countingSolve(&runs, 0)})
+	id, err := svc.Submit(g, JobSpec{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := svc.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := map[string][]byte{}
+	st.Range(func(key string, val []byte) bool {
+		records[key] = append([]byte(nil), val...)
+		return true
+	})
+	if len(records) != 1 {
+		t.Fatalf("store holds %d records, want 1", len(records))
+	}
+	for key, val := range records {
+		old := strings.TrimSuffix(string(val), "}") + `,"chrono_backtracks":7,"vivified_lits":11,"lbd_updates":13}`
+		if err := st.Put(key, []byte(old)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	backend2, err := OpenDiskBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(Config{Workers: 1, Backend: backend2, Solve: countingSolve(&runs, 0)})
+	defer svc2.Close()
+	id, err = svc2.Submit(g, JobSpec{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := svc2.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := info.Result; r == nil || !r.CacheHit || r.Chi != first.Result.Chi || !g.IsProperColoring(r.Coloring) {
+		t.Fatalf("record with the deleted counters served %+v, want a hit with chi %d", r, first.Result.Chi)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("solver ran %d times, want 1 (the first life only)", n)
 	}
 }
 

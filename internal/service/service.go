@@ -77,7 +77,8 @@ func (e *PanicError) Error() string { return "service: solver panic: " + e.Value
 // share results; only definitive (budget-independent) results are ever
 // cached. Decoding ignores unknown keys, so journal entries that still
 // hold an "sbp_variant" (1, 2 or 3) replay under the one lex-leader
-// construction.
+// construction, and entries that hold the deleted "chrono_threshold",
+// "vivify_budget" or "dynamic_lbd" knobs replay at the defaults.
 type JobSpec struct {
 	// K is the color bound (0 = max degree + 1, as in core.Solve).
 	K int `json:"k"`
@@ -102,7 +103,7 @@ type JobSpec struct {
 	// is cut at the deadline even when Timeout allows more. 0 = no
 	// deadline. Excluded from the cache key.
 	Deadline time.Duration `json:"deadline,omitempty"`
-	// The nine search knobs of core.Knobs, flattened into the JSON.
+	// The six search knobs of core.Knobs, flattened into the JSON.
 	core.Knobs
 }
 
@@ -163,14 +164,6 @@ type Result struct {
 	Runtime time.Duration `json:"runtime"`
 	// Conflicts is the solver conflict count (original solve's).
 	Conflicts int64 `json:"conflicts"`
-	// ChronoBacktracks, VivifiedLits and LBDUpdates report the solver's
-	// search-improvement counters. Like Runtime and Conflicts they are
-	// the original solve's: a knob-blind cache hit reports the counters
-	// of whichever submission actually solved, regardless of this job's
-	// own knob settings.
-	ChronoBacktracks int64 `json:"chrono_backtracks,omitempty"`
-	VivifiedLits     int64 `json:"vivified_lits,omitempty"`
-	LBDUpdates       int64 `json:"lbd_updates,omitempty"`
 	// Cube-and-conquer counters, present when the job ran with
 	// Parallel > 1: workers used, cubes generated / refuted by lookahead
 	// / conquered, and learnt clauses exchanged. Run-specific, so cache
@@ -1622,16 +1615,13 @@ func (j *job) info() JobInfo {
 // graph's numbering) to a service result.
 func resultFromOutcome(out core.Outcome, spec JobSpec, canonExact bool) *Result {
 	res := &Result{
-		Status:           out.Result.Status,
-		Solved:           out.Solved(),
-		Chi:              out.Chi,
-		Coloring:         out.Coloring,
-		Runtime:          out.Result.Runtime,
-		Conflicts:        out.Result.Stats.Conflicts,
-		ChronoBacktracks: out.Result.Stats.ChronoBacktracks,
-		VivifiedLits:     out.Result.Stats.VivifiedLits,
-		LBDUpdates:       out.Result.Stats.LBDUpdates,
-		CanonExact:       canonExact,
+		Status:     out.Result.Status,
+		Solved:     out.Solved(),
+		Chi:        out.Chi,
+		Coloring:   out.Coloring,
+		Runtime:    out.Result.Runtime,
+		Conflicts:  out.Result.Stats.Conflicts,
+		CanonExact: canonExact,
 	}
 	if out.Sym != nil {
 		res.SBPVariant = sbp.VariantName

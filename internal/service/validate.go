@@ -87,12 +87,6 @@ func (s JobSpec) Validate() error {
 	if s.Priority < 0 || s.Priority > MaxPriority {
 		add("priority", "must be in [0, %d]", MaxPriority)
 	}
-	if s.ChronoThreshold < 0 {
-		add("chrono_threshold", "must be >= 0")
-	}
-	if s.VivifyBudget < 0 {
-		add("vivify_budget", "must be >= 0")
-	}
 	if s.GlueLBD < 0 {
 		add("glue_lbd", "must be >= 0")
 	}

@@ -10,21 +10,8 @@ type LBDCounter struct {
 	gen   int64
 }
 
-// Count returns the LBD of the encoded literals (floored at 1; level-0
+// CountLits returns the LBD of the literals (floored at 1; level-0
 // literals are not counted). level is indexed by variable.
-func (c *LBDCounter) Count(lits []uint32, level []int) int {
-	c.gen++
-	n := 0
-	for _, u := range lits {
-		n += c.mark(level[u>>1])
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-// CountLits is Count for decoded literals.
 func (c *LBDCounter) CountLits(lits []cnf.Lit, level []int) int {
 	c.gen++
 	n := 0

@@ -8,7 +8,7 @@ import "time"
 // filled in by the layers above the engine (optimization loop, portfolio).
 type Progress struct {
 	// Engine names the configuration emitting the snapshot ("pbs2",
-	// "galena", "pueblo", "bnb"; empty for the plain SAT solver).
+	// "galena", "pueblo", "bnb"; internal/par prefixes it with "par:").
 	Engine string `json:"engine,omitempty"`
 	// Incumbent is the best objective value found so far by the
 	// optimization loop driving the engine — for the coloring flow, the
@@ -26,11 +26,6 @@ type Progress struct {
 	// tiering's churn.
 	Reduces int64 `json:"reduces"`
 	Removed int64 `json:"removed"`
-	// ChronoBacktracks, VivifiedLits and LBDUpdates report the search
-	// knobs' activity (see pbsolver.Options).
-	ChronoBacktracks int64 `json:"chrono_backtracks"`
-	VivifiedLits     int64 `json:"vivified_lits"`
-	LBDUpdates       int64 `json:"lbd_updates"`
 
 	// Cube-and-conquer fields, filled by internal/par's merged snapshots
 	// (zero on single-engine and portfolio runs). Workers is the conquer

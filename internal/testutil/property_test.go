@@ -16,10 +16,10 @@ import (
 // under: the zero value plus each search knob alone and all together.
 var pbKnobMatrix = []pbsolver.Options{
 	{},
-	{Knobs: pbsolver.Knobs{ChronoThreshold: 1}},
-	{Knobs: pbsolver.Knobs{VivifyBudget: 300, RestartBase: 1}},
-	{Knobs: pbsolver.Knobs{DynamicLBD: true}},
-	{Knobs: pbsolver.Knobs{ChronoThreshold: 1, VivifyBudget: 300, DynamicLBD: true, RestartBase: 1}},
+	{Knobs: pbsolver.Knobs{GlueLBD: 1}},
+	{Knobs: pbsolver.Knobs{ReduceInterval: 4}},
+	{Knobs: pbsolver.Knobs{RestartBase: 1}},
+	{Knobs: pbsolver.Knobs{GlueLBD: 1, ReduceInterval: 4, RestartBase: 1}},
 }
 
 // TestSATAgainstReference: on deterministic random small CNFs, the
@@ -87,7 +87,7 @@ func TestColoringFlowAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfgs := []core.Config{
 		{},
-		{Knobs: core.Knobs{Knobs: pbsolver.Knobs{ChronoThreshold: 1, VivifyBudget: 300, DynamicLBD: true, RestartBase: 1}}},
+		{Knobs: core.Knobs{Knobs: pbsolver.Knobs{GlueLBD: 1, ReduceInterval: 4, RestartBase: 1}}},
 	}
 	for iter := 0; iter < 12; iter++ {
 		n := 4 + rng.Intn(4)

@@ -335,13 +335,14 @@ func BenchmarkSBPVariants(b *testing.B) {
 
 // BenchmarkParallelSolve compares the sequential engine against the
 // cube-and-conquer subsystem. The dense pair shares one DSJC-style random
-// instance (dense enough that the optimality proof dominates); on a
-// multi-core runner the parallel variant shows the speedup (on a single
-// core it only measures the subsystem's overhead). The racers pair solves
-// the four graphs of e2ebench's racers workload per op, as that workload
-// submits them (K=20, NU+SC, parallel: 2), so `make bench-compare` tracks
-// what two-worker cube-and-conquer costs against one engine on its own
-// workload without an end-to-end run.
+// instance (dense enough that the optimality proof dominates, and far past
+// worker 0's 500 solo conflicts, so the cubes run); on a multi-core
+// runner the parallel variant shows the speedup (on a single core it only
+// measures the subsystem's overhead). The racers pair solves the four
+// graphs of e2ebench's racers workload per op, as that workload submits
+// them (K=20, NU+SC, parallel: 2), so `make bench-compare` tracks what
+// `parallel: 2` costs against one engine on its own workload without an
+// end-to-end run; worker 0 decides all four alone.
 func BenchmarkParallelSolve(b *testing.B) {
 	g := graph.Random("DSJC-style-34", 34, 280, 7)
 	run := func(b *testing.B, parallel int) {
@@ -380,9 +381,10 @@ func BenchmarkParallelSolve(b *testing.B) {
 
 // BenchmarkCubeGeneration times internal/par's cube generator on the four
 // racers-size formulas (K=20, NU+SC) at depth 4, the depth par picks for
-// two workers. The generator runs beside the whole-formula worker, so its
-// allocations are reported with the time; cubes/op is the emitted cube
-// count, which must not move unless the generator's output does.
+// two workers. On a job still undecided after worker 0's 500 solo
+// conflicts the generator runs beside it, so its allocations are reported
+// with the time; cubes/op is the emitted cube count, which must not move
+// unless the generator's output does.
 func BenchmarkCubeGeneration(b *testing.B) {
 	var formulas []*pb.Formula
 	for _, g := range testutil.RacerGraphs() {

@@ -188,8 +188,15 @@ func main() {
 	st := out.Result.Stats
 	fmt.Printf("search: %d decisions, %d restarts\n", st.Decisions, st.Restarts)
 	if p := out.Par; p != nil {
-		fmt.Printf("parallel: %d workers, %d cubes (%d refuted by lookahead, %d conquered), %d clauses shared, %d imported\n",
-			p.Workers, p.CubesGenerated, p.CubesRefuted, p.CubesClosed, p.ClausesExported, p.ClausesImported)
+		switch {
+		case p.CubesGenerated > 0 || p.CubesRefuted > 0:
+			fmt.Printf("parallel: %d workers, %d cubes (%d refuted by lookahead, %d conquered), %d clauses shared, %d imported\n",
+				p.Workers, p.CubesGenerated, p.CubesRefuted, p.CubesClosed, p.ClausesExported, p.ClausesImported)
+		case out.Solved():
+			fmt.Printf("parallel: %d workers, worker 0 decided alone (no cubes)\n", p.Workers)
+		default:
+			fmt.Printf("parallel: %d workers, stopped while worker 0 searched alone (no cubes)\n", p.Workers)
+		}
 	}
 	if *showColoring && out.Coloring != nil {
 		fmt.Println("coloring:", out.Coloring)

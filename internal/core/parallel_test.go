@@ -12,35 +12,57 @@ import (
 
 // TestParallelMatchesSequentialDSJC is the subsystem's acceptance check: a
 // DSJC-style random instance solved with 4 cube-and-conquer workers must
-// report the same chromatic number as the sequential engine.
+// report the same chromatic number as the sequential engine. The sequential
+// engine decides it in a few dozen conflicts, inside worker 0's solo
+// allowance, so the parallel solve is that same search with no cube; the
+// myciel3 case (K=12, no SBP: over 13,000 conflicts) splits into cubes.
 func TestParallelMatchesSequentialDSJC(t *testing.T) {
-	// A planted DSJC-style random graph, scaled so the test stays fast.
-	g := graph.PartitePlanted("DSJC-style-45", 45, 280, 5, 11)
-	base := Config{K: 8, SBP: encode.SBPNU, Engine: pbsolver.EnginePBS, Timeout: 2 * time.Minute}
+	myciel3, err := graph.Benchmark("myciel3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		g     *graph.Graph
+		base  Config
+		split bool
+	}{
+		// A planted DSJC-style random graph, scaled so the test stays fast.
+		{graph.PartitePlanted("DSJC-style-45", 45, 280, 5, 11), Config{K: 8, SBP: encode.SBPNU}, false},
+		{myciel3, Config{K: 12, SBP: encode.SBPNone}, true},
+	} {
+		g, base := tc.g, tc.base
+		base.Engine, base.Timeout = pbsolver.EnginePBS, 2*time.Minute
 
-	seq := Solve(context.Background(), g, base)
-	if !seq.Solved() {
-		t.Fatalf("sequential did not finish: %v", seq.Result.Status)
-	}
+		seq := Solve(context.Background(), g, base)
+		if !seq.Solved() {
+			t.Fatalf("%s: sequential did not finish: %v", g.Name(), seq.Result.Status)
+		}
 
-	par4 := base
-	par4.Parallel = 4
-	par := Solve(context.Background(), g, par4)
-	if !par.Solved() {
-		t.Fatalf("parallel did not finish: %v", par.Result.Status)
-	}
-	if par.Chi != seq.Chi || par.Result.Status != seq.Result.Status {
-		t.Fatalf("parallel (chi=%d, %v) disagrees with sequential (chi=%d, %v)",
-			par.Chi, par.Result.Status, seq.Chi, seq.Result.Status)
-	}
-	if par.Par == nil {
-		t.Fatal("parallel outcome is missing cube-and-conquer stats")
-	}
-	if par.Par.Workers != 4 || par.Par.CubesGenerated == 0 {
-		t.Fatalf("unexpected par stats: %+v", par.Par)
-	}
-	if par.Coloring != nil && !g.IsProperColoring(par.Coloring) {
-		t.Fatal("parallel witness coloring is improper")
+		par4 := base
+		par4.Parallel = 4
+		par := Solve(context.Background(), g, par4)
+		if !par.Solved() {
+			t.Fatalf("%s: parallel did not finish: %v", g.Name(), par.Result.Status)
+		}
+		if par.Chi != seq.Chi || par.Result.Status != seq.Result.Status {
+			t.Fatalf("%s: parallel (chi=%d, %v) disagrees with sequential (chi=%d, %v)",
+				g.Name(), par.Chi, par.Result.Status, seq.Chi, seq.Result.Status)
+		}
+		if par.Par == nil {
+			t.Fatalf("%s: parallel outcome is missing cube-and-conquer stats", g.Name())
+		}
+		if par.Par.Workers != 4 || (par.Par.CubesGenerated > 0) != tc.split {
+			t.Fatalf("%s: unexpected par stats (split %v): %+v", g.Name(), tc.split, par.Par)
+		}
+		if !tc.split && (par.Result.Stats.Conflicts != seq.Result.Stats.Conflicts ||
+			par.Result.Stats.Decisions != seq.Result.Stats.Decisions) {
+			t.Fatalf("%s: solo search (%d conflicts, %d decisions) is not the sequential one (%d, %d)",
+				g.Name(), par.Result.Stats.Conflicts, par.Result.Stats.Decisions,
+				seq.Result.Stats.Conflicts, seq.Result.Stats.Decisions)
+		}
+		if par.Coloring != nil && !g.IsProperColoring(par.Coloring) {
+			t.Fatalf("%s: parallel witness coloring is improper", g.Name())
+		}
 	}
 }
 

@@ -13,14 +13,27 @@ import (
 	"repro/internal/solverutil"
 )
 
+// soloConflicts is how many conflicts worker 0 searches alone before the
+// cube generator and workers 1..Workers−1 start. A job decided sooner runs
+// exactly one engine's search on one core, with no second engine or cubes
+// to build; a job that splits forgoes the parallel work of those
+// conflicts. Of the allowances measured (500, 1,000 and 2,000), all ran
+// e2ebench's racers workload at the same rate, and 500 cost the least on
+// Table-1 cells that split: 3% over splitting at once (geometric mean of
+// 19 cells), against 11% and 27%.
+const soloConflicts = 500
+
 // Optimize solves a 0-1 ILP formula with parallel cube-and-conquer.
-// Worker 0 starts at once on the whole formula: it runs the sequential
-// linear-search loop on an assumption-free session. Beside it the instance
-// is split into cubes (CubesPB), and workers 1..Workers−1 conquer them on
-// incremental pbsolver sessions, each cube installed as assumptions. All
-// workers share one global incumbent — every improving model found
+// Worker 0 starts alone on the whole formula: it runs the sequential
+// linear-search loop on an assumption-free session, so until it has spent
+// soloConflicts (500) conflicts its search is exactly one engine's. If
+// it is still undecided then, the instance is split into cubes (CubesPB)
+// beside it, and workers 1..Workers−1 conquer them on incremental pbsolver
+// sessions, each cube installed as assumptions, while worker 0 searches
+// on. All workers share one global incumbent — every improving model found
 // anywhere tightens every worker's objective bound — and, unless disabled,
-// exchange glue-grade learnt clauses at restarts.
+// exchange glue-grade learnt clauses at restarts. A one-worker pool never
+// splits.
 //
 // Termination is first-finisher-wins through a context derived from ctx:
 // a worker that proves the instance as a whole (worker 0 refuting the
@@ -30,14 +43,24 @@ import (
 // the cube worker that closes the last open cube (StatusOptimal or
 // StatusUnsat, by the covering property of the cube tree). Otherwise the
 // run ends when the budget expires (StatusSat with the best incumbent, or
-// StatusUnknown). Cube generation always runs to completion before
-// Optimize returns, so the cube counters depend on the seed alone.
+// StatusUnknown). A cancellation or timeout before the split starts no
+// generator and no cube worker. Once started, cube generation runs to
+// completion before Optimize returns, so the cube counters depend on the
+// seed and on whether worker 0 decided within 500 conflicts (they read 0
+// when it did).
 //
 // With an empty objective this degenerates to a parallel decision solve —
 // the mode pure CNF formulas run in (see pb.FromCNF): SAT (reported as
 // StatusOptimal) the moment any worker finds a model, UNSAT when worker 0
 // refutes the formula or all cubes are closed.
 func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
+	return optimize(ctx, f, opts, soloConflicts)
+}
+
+// optimize is Optimize with worker 0's solo allowance as a parameter: 0
+// splits before worker 0 starts, which the package's tests use to run the
+// cube path on formulas decided in far fewer conflicts.
+func optimize(ctx context.Context, f *pb.Formula, opts Options, solo int64) Result {
 	start := time.Now()
 	workers := opts.workers()
 	res := Result{}
@@ -48,7 +71,7 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 		return res
 	}
 
-	// Pin the shared wall-clock budget once (a worker scheduled late must
+	// Pin the shared wall-clock budget once (a worker started late must
 	// not restart the clock); the derived context is the single
 	// cancellation path for deadline, caller cancellation, and
 	// first-finisher-wins alike.
@@ -73,78 +96,113 @@ func Optimize(ctx context.Context, f *pb.Formula, opts Options) Result {
 	p := &pool{ctx: pctx, cancel: cancel, decision: len(f.Objective) == 0, bestZ: -1}
 	merge := newMerger(base.Progress, base.ProgressInterval, workers, exch, p)
 
-	// The generator runs beside worker 0 and feeds the cube workers once
-	// the whole tree is built (the cube count must be known before the
-	// first cube can close the cover).
-	cubeCh := make(chan []cnf.Lit)
-	var cs CubeSet
-	generated := make(chan struct{})
-	go func() {
-		defer close(generated)
-		defer close(cubeCh)
-		cs = CubesPB(f, CubeOptions{Depth: opts.cubeDepth(), Seed: opts.Seed})
-		p.refuted.Store(cs.Refuted)
-		p.total.Store(int64(len(cs.Cubes)))
-		if cs.RootUnsat || len(cs.Cubes) == 0 {
-			// Propagation refuted the root, or every branch: the formula
-			// has no model at all.
-			p.prove()
-			return
-		}
-		for _, c := range cs.Cubes {
-			select {
-			case cubeCh <- c:
-			case <-pctx.Done():
-				return
-			}
-		}
-	}()
-
 	perWorker := make([]pbsolver.Stats, workers)
 	var wg sync.WaitGroup
-	for wid := 0; wid < workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			role := "cubes"
-			if wid == 0 {
-				role = "whole"
+	cubeCh := make(chan []cnf.Lit)
+	var cs CubeSet
+	var generated chan struct{} // closed when generation ends; nil before the split
+
+	// run is one worker's whole life: worker 0 solves the whole formula on
+	// the calling goroutine, the others pull cubes until the feed ends.
+	var split func()
+	run := func(wid int) {
+		role := "cubes"
+		if wid == 0 {
+			role = "whole"
+		}
+		_, wspan := obs.StartSpan(pctx, "solve.worker", obs.Int("worker", int64(wid)))
+		o := base
+		o.Progress = merge.hook(wid)
+		if exch != nil {
+			o.Export = exch.Exporter(wid)
+			o.ExportLBD = opts.shareLBD()
+			o.Import = exch.Importer(wid)
+			if wid == 0 && solo > 0 {
+				// What worker 0 learns alone stays in its own database:
+				// it publishes only from the split on.
+				export := o.Export
+				o.Export = func(lits []cnf.Lit, lbd int) {
+					if generated != nil {
+						export(lits, lbd)
+					}
+				}
 			}
-			_, wspan := obs.StartSpan(pctx, "solve.worker", obs.Int("worker", int64(wid)))
-			o := base
-			o.Progress = merge.hook(wid)
-			if exch != nil {
-				o.Export = exch.Exporter(wid)
-				o.ExportLBD = opts.shareLBD()
-				o.Import = exch.Importer(wid)
+		}
+		w := &worker{pool: p, sess: pbsolver.NewSession(pctx, f, o), bound: int(^uint(0) >> 1)}
+		defer func() {
+			st := w.sess.Stats()
+			perWorker[wid] = st
+			wspan.End(
+				obs.String("role", role),
+				obs.Int("cubes_closed", w.closed),
+				obs.Bool("proved", w.proved),
+				obs.Int("conflicts", st.Conflicts),
+				obs.Int("restarts", st.Restarts),
+				obs.Int("solver_calls", st.SolverCalls),
+			)
+		}()
+		if wid == 0 {
+			if workers > 1 && solo > 0 {
+				w.sess.OnConflicts(solo, split)
 			}
-			w := &worker{pool: p, sess: pbsolver.NewSession(pctx, f, o), bound: int(^uint(0) >> 1)}
-			defer func() {
-				st := w.sess.Stats()
-				perWorker[wid] = st
-				wspan.End(
-					obs.String("role", role),
-					obs.Int("cubes_closed", w.closed),
-					obs.Bool("proved", w.proved),
-					obs.Int("conflicts", st.Conflicts),
-					obs.Int("restarts", st.Restarts),
-					obs.Int("solver_calls", st.SolverCalls),
-				)
-			}()
-			if wid == 0 {
-				w.conquer(nil)
+			w.conquer(nil)
+			return
+		}
+		for cube := range cubeCh {
+			if !w.conquer(cube) {
 				return
 			}
-			for cube := range cubeCh {
-				if !w.conquer(cube) {
+		}
+	}
+
+	// split starts the generator and the cube workers, on worker 0's
+	// goroutine (mid-search, from its conflict mark) or before worker 0
+	// when solo is 0. The generator builds the whole tree before feeding
+	// any cube: the cube count must be known before the first cube can
+	// close the cover.
+	split = func() {
+		if pctx.Err() != nil {
+			return // the run is over; start nothing
+		}
+		generated = make(chan struct{})
+		go func() {
+			defer close(generated)
+			defer close(cubeCh)
+			cs = CubesPB(f, CubeOptions{Depth: opts.cubeDepth(), Seed: opts.Seed})
+			p.refuted.Store(cs.Refuted)
+			p.total.Store(int64(len(cs.Cubes)))
+			if cs.RootUnsat || len(cs.Cubes) == 0 {
+				// Propagation refuted the root, or every branch: the
+				// formula has no model at all.
+				p.prove()
+				return
+			}
+			for _, c := range cs.Cubes {
+				select {
+				case cubeCh <- c:
+				case <-pctx.Done():
 					return
 				}
 			}
-		}(wid)
+		}()
+		for wid := 1; wid < workers; wid++ {
+			wg.Add(1)
+			go func(wid int) {
+				defer wg.Done()
+				run(wid)
+			}(wid)
+		}
 	}
+
+	if workers > 1 && solo <= 0 {
+		split()
+	}
+	run(0)
 	wg.Wait()
 	cancel() // release a feeder no cube worker is left to drain
-	<-generated
+	if generated != nil {
+		<-generated
+	}
 
 	for _, st := range perWorker {
 		res.Stats.Add(st)

@@ -33,15 +33,21 @@ func TestCubeDeterminism(t *testing.T) {
 // may only ever exclude non-models).
 func TestCubesCoverModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var ex exercised
+	split := 0
 	for round := 0; round < 30; round++ {
 		f := testutil.RandomCNF(rng, 6+rng.Intn(8), 10+rng.Intn(25), 3)
 		cs := CubesPB(pb.FromCNF(f), CubeOptions{Depth: 3, Seed: int64(round)})
 		sat, _ := testutil.BruteForceSAT(f)
+		ex.note(f, sat)
 		if cs.RootUnsat {
 			if sat {
 				t.Fatalf("round %d: generator refuted a satisfiable formula", round)
 			}
 			continue
+		}
+		if len(cs.Cubes) > 1 {
+			split++
 		}
 		// Enumerate all assignments; every model must hit some cube.
 		n := f.NumVars
@@ -72,6 +78,10 @@ func TestCubesCoverModels(t *testing.T) {
 			}
 		}
 	}
+	ex.require(t)
+	if 2*split <= ex.rounds {
+		t.Fatalf("only %d of %d rounds split into more than one cube", split, ex.rounds)
+	}
 }
 
 // TestCubesDisjoint: sibling branches differ in the branch literal's
@@ -80,6 +90,9 @@ func TestCubesDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := testutil.RandomCNF(rng, 12, 30, 3)
 	cs := CubesPB(pb.FromCNF(f), CubeOptions{Depth: 4, Seed: 5})
+	if len(cs.Cubes) < 2 {
+		t.Fatalf("%d cubes: nothing to compare pairwise", len(cs.Cubes))
+	}
 	for i := range cs.Cubes {
 		for j := i + 1; j < len(cs.Cubes); j++ {
 			if !conflicting(cs.Cubes[i], cs.Cubes[j]) {

@@ -21,11 +21,13 @@ const exchangeCapacity = 4096
 //
 // Clause payloads are copied on the way in and on the way out: slots are
 // overwritten as the ring wraps, and importers hand the clauses to solver
-// code that normalizes in place.
+// code that normalizes in place. The ring grows to its capacity as clauses
+// arrive, so a solve that exports a few clauses allocates a few slots.
 type Exchange struct {
-	mu  sync.Mutex
-	buf []slot
-	seq uint64 // total clauses ever published
+	mu       sync.Mutex
+	buf      []slot // grows to capacity, then wraps
+	capacity uint64
+	seq      uint64 // total clauses ever published
 
 	exported atomic.Int64
 	imported atomic.Int64
@@ -40,16 +42,20 @@ type slot struct {
 // NewExchange builds an exchange with the given ring capacity, which must
 // be positive.
 func NewExchange(capacity int) *Exchange {
-	return &Exchange{buf: make([]slot, capacity)}
+	return &Exchange{capacity: uint64(capacity)}
 }
 
 // Exporter returns the Export hook for worker src: it copies the clause
 // and publishes it to every other worker.
 func (x *Exchange) Exporter(src int) solverutil.ExportFunc {
 	return func(lits []cnf.Lit, lbd int) {
-		cp := append([]cnf.Lit(nil), lits...)
+		s := slot{src: src, lbd: lbd, lits: append([]cnf.Lit(nil), lits...)}
 		x.mu.Lock()
-		x.buf[x.seq%uint64(len(x.buf))] = slot{src: src, lbd: lbd, lits: cp}
+		if i := x.seq % x.capacity; i < uint64(len(x.buf)) {
+			x.buf[i] = s
+		} else {
+			x.buf = append(x.buf, s)
+		}
 		x.seq++
 		x.mu.Unlock()
 		x.exported.Add(1)
@@ -66,11 +72,11 @@ func (x *Exchange) Importer(src int) solverutil.ImportFunc {
 		start := len(buf)
 		x.mu.Lock()
 		lo := cursor
-		if n := uint64(len(x.buf)); x.seq > n && lo < x.seq-n {
-			lo = x.seq - n // fell behind a full ring: skip the overwritten part
+		if x.seq > x.capacity && lo < x.seq-x.capacity {
+			lo = x.seq - x.capacity // fell behind a full ring: skip the overwritten part
 		}
 		for i := lo; i < x.seq; i++ {
-			s := x.buf[i%uint64(len(x.buf))]
+			s := x.buf[i%x.capacity]
 			if s.src == src {
 				continue
 			}

@@ -1,13 +1,18 @@
 // Package par is the parallel cube-and-conquer subsystem. Worker 0 solves
-// the whole formula at once, as one engine would; beside it, a
+// the whole formula at once, as one engine would, and searches alone for
+// its first 500 conflicts: a job decided within them runs exactly the
+// sequential engine's search on one core. Past that allowance, a
 // lookahead-based generator (cube.go) splits the symmetry-reduced search
-// space of the encoded instance into cubes, and the other workers of a
-// bounded pool of incremental internal/pbsolver sessions conquer them,
-// each seeded with its cube as assumptions (conquer.go). All workers
-// exchange glue-grade learnt clauses through a lock-light ring buffer
-// (exchange.go), in the style of Glucose-syrup portfolio solvers. A
-// formula without an objective, such as a pure CNF decision instance, is
-// conquered as a decision problem.
+// space of the encoded instance into cubes beside it, and the other
+// workers of a bounded pool of incremental internal/pbsolver sessions
+// conquer them, each seeded with its cube as assumptions (conquer.go).
+// All workers exchange glue-grade learnt clauses through a lock-light
+// ring buffer (exchange.go), in the style of Glucose-syrup portfolio
+// solvers. Worker 0 publishes only the glue clauses it learns from the
+// split on: those it learnt alone stay in its own database, so a cube
+// worker imports none of them (handed over, they slowed the cube workers
+// on the split jobs measured). A formula without an objective, such as a
+// pure CNF decision instance, is conquered as a decision problem.
 //
 // Soundness rests on four invariants:
 //
@@ -50,8 +55,9 @@ type Options struct {
 	// Workers is the conquer pool size (0 = GOMAXPROCS; requests are
 	// clamped to 4× GOMAXPROCS, since Workers reaches this layer from
 	// untrusted job submissions and each worker builds a full engine).
-	// One CDCL engine is built per worker: worker 0 solves the whole
-	// formula, the others pull cubes from a shared queue.
+	// One CDCL engine is built per worker that runs: worker 0 solves the
+	// whole formula, the others start only if it is undecided after 500
+	// conflicts and then pull cubes from a shared queue.
 	Workers int
 	// CubeDepth is the number of branching decisions per cube, so the
 	// generator emits at most 2^CubeDepth cubes (fewer when propagation
@@ -130,12 +136,14 @@ type Stats struct {
 	// the lookahead pruned by propagation (closed before any engine ran);
 	// CubesClosed counts cubes conquered definitively by a cube worker,
 	// which may stay below CubesGenerated when worker 0 answers first.
+	// All three read 0 when worker 0 decided the job alone.
 	CubesGenerated int64 `json:"cubes_generated"`
 	CubesRefuted   int64 `json:"cubes_refuted"`
 	CubesClosed    int64 `json:"cubes_closed"`
 	// ClausesExported and ClausesImported count learnt clauses through
 	// the exchange, summed over workers (one export is typically imported
-	// by Workers−1 peers).
+	// by Workers−1 peers). Worker 0 publishes only from the split on, so
+	// they too read 0 when it decided the job alone.
 	ClausesExported int64 `json:"clauses_exported"`
 	ClausesImported int64 `json:"clauses_imported"`
 }

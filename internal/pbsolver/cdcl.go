@@ -883,6 +883,7 @@ func (e *cdclEngine) solveDecisionAssuming(budget *budget, assumptions []cnf.Lit
 				e.learnCardinality(confl.pc)
 			}
 			e.decayActivities()
+			budget.passMark()
 			if budget.conflictsExceeded() {
 				e.cancelUntil(0)
 				return StatusUnknown
@@ -978,6 +979,9 @@ type budget struct {
 	maxConflicts int64
 	conflicts    int64
 	done         <-chan struct{} // context cancellation, may be nil
+	// markAt and onMark are a one-shot conflict mark (Session.OnConflicts).
+	markAt int64
+	onMark func()
 }
 
 func (b *budget) expired() bool {
@@ -993,4 +997,14 @@ func (b *budget) expired() bool {
 
 func (b *budget) conflictsExceeded() bool {
 	return b.maxConflicts > 0 && b.conflicts >= b.maxConflicts
+}
+
+// passMark runs the conflict mark's callback, once, when the conflicts
+// have reached it.
+func (b *budget) passMark() {
+	if b.onMark != nil && b.conflicts >= b.markAt {
+		fn := b.onMark
+		b.onMark = nil
+		fn()
+	}
 }

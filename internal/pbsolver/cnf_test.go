@@ -166,63 +166,65 @@ func TestGraphColoringAsCNFSmoke(t *testing.T) {
 }
 
 // TestRandomAgainstBruteForce cross-checks the CDCL answer on pure CNF
-// against exhaustive enumeration on hundreds of small random formulas,
-// covering both phases of the SAT/UNSAT transition.
+// against exhaustive enumeration on hundreds of small random 4-CNFs,
+// covering both phases of the SAT/UNSAT transition: clause counts run up
+// to twice the 4-SAT threshold of about 9.9 clauses per variable.
 func TestRandomAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var sat, unsat int
 	for iter := 0; iter < 400; iter++ {
 		nVars := 3 + rng.Intn(8)
-		f := testutil.RandomCNF(rng, nVars, 2+rng.Intn(5*nVars), 4)
+		f := testutil.RandomCNF(rng, nVars, 2+rng.Intn(20*nVars), 4)
 		want, _ := testutil.BruteForceSAT(f)
-		if got, _ := decideCNF(t, f, Options{}); got != want {
+		got, _ := decideCNF(t, f, Options{})
+		if got != want {
 			t.Fatalf("iter %d: engine sat=%t, brute force sat=%t\n%s", iter, got, want, f.Dimacs())
 		}
+		if got {
+			sat++
+		} else {
+			unsat++
+		}
 	}
+	requireBothPhases(t, sat, unsat)
 }
 
-// TestRandomWithPhaseSaving repeats the cross-check with a faster restart
-// cadence, once with phase saving and once without.
+// TestRandomWithPhaseSaving repeats the cross-check on 3-CNFs, with clause
+// counts up to about twice the 3-SAT threshold of 4.26 per variable and a
+// faster restart cadence, once with phase saving and once without.
 func TestRandomWithPhaseSaving(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var sat, unsat int
 	for _, opts := range []Options{
 		{Knobs: Knobs{RestartBase: 10}},
 		{NoPhaseSaving: true, Knobs: Knobs{RestartBase: 10}},
 	} {
 		for iter := 0; iter < 200; iter++ {
 			nVars := 4 + rng.Intn(7)
-			f := testutil.RandomCNF(rng, nVars, 3+rng.Intn(4*nVars), 3)
+			f := testutil.RandomCNF(rng, nVars, 3+rng.Intn(8*nVars), 3)
 			want, _ := testutil.BruteForceSAT(f)
-			if got, _ := decideCNF(t, f, opts); got != want {
+			got, _ := decideCNF(t, f, opts)
+			if got != want {
 				t.Fatalf("iter %d opts %+v: engine sat=%t, want %t", iter, opts, got, want)
 			}
+			if got {
+				sat++
+			} else {
+				unsat++
+			}
 		}
 	}
+	requireBothPhases(t, sat, unsat)
 }
 
-// random3SAT draws a uniform random 3-CNF: every clause has three
-// distinct variables, so unlike testutil.RandomCNF's mixed widths no unit
-// clause settles the formula at the root, and near the 4.26
-// clause/variable threshold the engine has to search.
-func random3SAT(rng *rand.Rand, nVars, nClauses int) *cnf.Formula {
-	f := cnf.NewFormula(nVars)
-	for c := 0; c < nClauses; c++ {
-		cl := make([]cnf.Lit, 0, 3)
-		used := map[int]bool{}
-		for len(cl) < 3 {
-			v := 1 + rng.Intn(nVars)
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			l := cnf.PosLit(v)
-			if rng.Intn(2) == 0 {
-				l = l.Neg()
-			}
-			cl = append(cl, l)
-		}
-		f.AddClause(cl...)
+// requireBothPhases fails a random cross-check unless each answer came up
+// on at least a fifth of its formulas, so that neither side of the
+// SAT/UNSAT transition goes untested.
+func requireBothPhases(t *testing.T, sat, unsat int) {
+	t.Helper()
+	if n := sat + unsat; 5*sat < n || 5*unsat < n {
+		t.Fatalf("%d SAT and %d UNSAT formulas: one side of the transition is barely tested", sat, unsat)
 	}
-	return f
 }
 
 // TestRandom3SATNearThreshold runs instances near the SAT/UNSAT phase
@@ -232,7 +234,7 @@ func TestRandom3SATNearThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sat, unsat := 0, 0
 	for iter := 0; iter < 12; iter++ {
-		f := random3SAT(rng, 50, 210)
+		f := testutil.RandomCNF(rng, 50, 210, 3)
 		ok, res := decideCNF(t, f, Options{Knobs: Knobs{RestartBase: 16}})
 		if ok {
 			sat++
@@ -287,7 +289,7 @@ func TestKnobsAgreeWithBruteForce(t *testing.T) {
 	var acted Stats
 	for iter := 0; iter < 60; iter++ {
 		n := 10 + rng.Intn(5)
-		f := random3SAT(rng, n, 4*n+rng.Intn(n))
+		f := testutil.RandomCNF(rng, n, 4*n+rng.Intn(n), 3)
 		want, _ := testutil.BruteForceSAT(f)
 		for ki, opts := range knobSets {
 			got, res := decideCNF(t, f, opts)

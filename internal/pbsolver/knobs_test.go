@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/pb"
+	"repro/internal/testutil"
 )
 
 // clausePigeonhole is PHP(pigeons, holes) in pure clause form (long
@@ -79,7 +80,7 @@ func TestKnobsAgreeWithBruteForcePB(t *testing.T) {
 	var acted Stats
 	for iter := 0; iter < 25; iter++ {
 		n := 9 + rng.Intn(4)
-		f := pb.FromCNF(random3SAT(rng, n, 3*n+rng.Intn(n)))
+		f := pb.FromCNF(testutil.RandomCNF(rng, n, 3*n+rng.Intn(n), 3))
 		withObjective(rng, f)
 		feasible, optimum := bruteOptimum(f)
 		for ki, base := range knobSets {

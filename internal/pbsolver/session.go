@@ -60,6 +60,16 @@ func (s *Session) DecideAssuming(assumptions []cnf.Lit) Status {
 	return st
 }
 
+// OnConflicts arranges for fn to run once, when the session's conflicts,
+// counted across all its probes as MaxConflicts counts them, reach n. It
+// runs on the goroutine probing the session, in the middle of a probe that
+// goes on searching after fn returns, so fn must not use the session.
+// internal/par uses it to start cube conquest only once worker 0 has
+// searched for a while. A root-unsatisfiable session never calls fn.
+func (s *Session) OnConflicts(n int64, fn func()) {
+	s.bgt.markAt, s.bgt.onMark = n, fn
+}
+
 // AddObjectiveBound adds Σ objective ≤ bound to the live engine. Returns
 // false when the bound is infeasible at the root — given that every clause
 // in the engine is implied by the formula plus previously justified

@@ -171,7 +171,7 @@ func TestKnobsWithAssumptions(t *testing.T) {
 	opts := Options{Knobs: Knobs{GlueLBD: 1, ReduceInterval: 2, RestartBase: 1}}
 	var acted Stats
 	for iter := 0; iter < 25; iter++ {
-		f := random3SAT(rng, 12, 50)
+		f := testutil.RandomCNF(rng, 12, 50, 3)
 		s := cnfSession(f, opts)
 		a := []cnf.Lit{cnf.PosLit(1 + rng.Intn(10))}
 		got := s.DecideAssuming(a)

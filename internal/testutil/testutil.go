@@ -9,6 +9,7 @@ package testutil
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cnf"
 	"repro/internal/graph"
@@ -110,15 +111,21 @@ next:
 	return false
 }
 
-// RandomCNF generates a uniform random k-CNF formula: nClauses clauses of
-// width 1..maxWidth over nVars variables. Deterministic in rng.
-func RandomCNF(rng *rand.Rand, nVars, nClauses, maxWidth int) *cnf.Formula {
+// RandomCNF generates a uniform random k-CNF formula: nClauses clauses,
+// each over width distinct variables (all nVars when width exceeds it)
+// with random signs. At width 2 or more there is no unit clause for root
+// propagation to start from, so a solver has to search. Deterministic in
+// rng.
+func RandomCNF(rng *rand.Rand, nVars, nClauses, width int) *cnf.Formula {
+	width = min(width, nVars)
 	f := cnf.NewFormula(nVars)
 	for i := 0; i < nClauses; i++ {
-		w := 1 + rng.Intn(maxWidth)
-		cl := make([]cnf.Lit, 0, w)
-		for j := 0; j < w; j++ {
+		cl := make([]cnf.Lit, 0, width)
+		for len(cl) < width {
 			l := cnf.PosLit(1 + rng.Intn(nVars))
+			if slices.ContainsFunc(cl, func(m cnf.Lit) bool { return m.Var() == l.Var() }) {
+				continue
+			}
 			if rng.Intn(2) == 0 {
 				l = l.Neg()
 			}

@@ -320,6 +320,84 @@ func TestJournalDegradedModeAndRecovery(t *testing.T) {
 	}
 }
 
+// TestJournalDegradedForgetsUnwrittenJobs: while the journal is degraded,
+// a job recorded and finished within the spell leaves nothing behind, so
+// a journal whose disk stays broken does not grow by a completion per
+// job. A completion is remembered only where the record may be on disk —
+// a job recorded before the spell, or the entry whose failed write began
+// it — and healing still deletes exactly those.
+func TestJournalDegradedForgetsUnwrittenJobs(t *testing.T) {
+	dir := t.TempDir()
+	fs := &flakyFS{}
+	jr, err := OpenDiskJournal(dir, store.Options{FS: fs}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.baseBackoff = 5 * time.Millisecond
+	jr.maxBackoff = 50 * time.Millisecond
+	record := func(id string) {
+		t.Helper()
+		e := JournalEntry{ID: id, N: 3, Edges: [][2]int{{0, 1}, {1, 2}}, Submitted: time.Now()}
+		if err := jr.Record(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := func(id string) {
+		t.Helper()
+		if err := jr.Done(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	record("job-before")
+	record("job-finished-before")
+	done("job-finished-before")
+	fs.fail.Store(true)
+	record("job-failed-write") // begins the spell
+	done("job-before")
+	for i := 0; i < 1000; i++ {
+		id := fmt.Sprintf("job-%d", i)
+		record(id)
+		done(id)
+	}
+	record("job-live")
+	jr.mu.Lock()
+	remembered := len(jr.pendingDone)
+	jr.mu.Unlock()
+	if remembered != 2 {
+		t.Fatalf("degraded journal remembers %d completions, want 2 (job-before, job-failed-write)", remembered)
+	}
+	if got := jr.Pending(); got != 2 {
+		t.Fatalf("Pending during the spell = %d, want 2 (job-failed-write, job-live)", got)
+	}
+
+	fs.fail.Store(false)
+	deadline := time.Now().Add(10 * time.Second)
+	for jr.Health().Degraded {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal never recovered; health %+v", jr.Health())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	jr.Close()
+	jr2, err := OpenDiskJournal(dir, store.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr2.Close()
+	entries, err := jr2.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range entries {
+		ids = append(ids, e.ID)
+	}
+	if fmt.Sprint(ids) != "[job-failed-write job-live]" {
+		t.Fatalf("replay after recovery = %v, want [job-failed-write job-live]", ids)
+	}
+}
+
 // failingBackend fails every Put while fail is set; everything else
 // delegates to an in-memory backend.
 type failingBackend struct {

@@ -83,8 +83,13 @@ type DiskJournal struct {
 	baseBackoff time.Duration
 	maxBackoff  time.Duration
 
-	mu          sync.Mutex
-	st          *store.Store // nil while degraded
+	mu sync.Mutex
+	st *store.Store // nil while degraded
+	// While degraded, pendingRec holds the entries recorded since and
+	// pendingDone the ids whose records may be on disk and must be deleted
+	// when it heals: jobs recorded before the spell that finished during
+	// it, and the entry whose failed write began it. A job recorded and
+	// finished within the spell leaves neither.
 	pendingRec  map[string][]byte
 	pendingDone map[string]bool
 	h           Health
@@ -133,6 +138,7 @@ func (j *DiskJournal) Record(e JournalEntry) error {
 	if err := j.st.Put(e.ID, raw); err != nil {
 		j.enterDegradedLocked(err)
 		j.pendingRec[e.ID] = raw
+		j.pendingDone[e.ID] = true // the failed write may have reached the disk
 		j.h.Errors++
 	}
 	return nil
@@ -145,9 +151,12 @@ func (j *DiskJournal) Done(id string) error {
 	if j.closed {
 		return ErrClosed
 	}
-	delete(j.pendingRec, id)
 	if j.st == nil {
-		j.pendingDone[id] = true
+		if _, inSpell := j.pendingRec[id]; inSpell {
+			delete(j.pendingRec, id)
+		} else {
+			j.pendingDone[id] = true
+		}
 		return nil
 	}
 	if err := j.st.Delete(id); err != nil {

@@ -363,19 +363,49 @@ type Config struct {
 	Journal Journal
 }
 
+// job is one submission. The service's table holds it until it is pruned
+// as one of the oldest finished jobs past MaxJobs. Once finish has closed
+// done and recorded the trace, the table holds only finishedCopy: the
+// job's record over finishedRun.
 type job struct {
-	id     string
-	tenant string
-	// name is the instance name that status and logs report. g is the
-	// graph itself; finish drops it (under mu), so the bounded history
-	// of finished jobs holds names, not graphs. Only the worker running
-	// the job reads g.
-	name string
-	g    *graph.Graph
-	spec JobSpec
-	// ctx carries Cancel and CancelAll to the running job. finish drops
-	// ctx and cancel (under mu) as it drops g; Cancel reads cancel under
-	// mu, and only the worker reads ctx, before it finishes the job.
+	mu sync.Mutex
+	jobRecord
+	*jobRun
+}
+
+// jobRecord is everything a job reports: JobInfo, Progress and JobPhase
+// answer from it. id, tenant, name and spec never change; the rest is
+// guarded by the job's mu. name is the instance name, kept when finish
+// drops the graph.
+type jobRecord struct {
+	id        string
+	tenant    string
+	name      string
+	spec      JobSpec
+	state     State
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	queueWait time.Duration
+	err       error
+	// result is the job's outcome. A finished copy keeps its coloring in
+	// coloring instead, at 4 bytes per vertex (colors are below K ≤ MaxK
+	// = 2^20).
+	result   *Result
+	coloring []int32
+	// prog is the latest progress snapshot, nil until the solver reports.
+	prog *Progress
+}
+
+// jobRun is a job's running state. g, ctx, the queue key and the trace
+// are set before the job is enqueued and read without mu after that; the
+// other fields are guarded by the job's mu, as are finish's drops of g,
+// ctx, cancel, the trace and progWake.
+type jobRun struct {
+	// g is the graph. Only the worker running the job reads it.
+	g *graph.Graph
+	// ctx carries Cancel and CancelAll to the running job; Cancel reads
+	// cancel under mu, and only the worker reads ctx.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -395,32 +425,53 @@ type job struct {
 	rootSpan  *obs.Span
 	queueSpan *obs.Span
 
-	mu        sync.Mutex
-	state     State
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	queueWait time.Duration
-	err       error
-	result    *Result
-	canceled  bool // explicit Cancel call (vs timeout)
-	expired   bool // deadline elapsed while still queued
+	canceled bool // explicit Cancel call (vs timeout)
+	expired  bool // deadline elapsed while still queued
 	// phase names the lifecycle stage the job is in right now ("queued",
 	// "canon", "solve", "persist", "done") for progress/heartbeat events.
 	phase string
 
-	// Live progress: the latest snapshot, a monotonically increasing
-	// sequence number, and a wake channel closed on every update so
-	// streamers can block without polling. The channel is made only when a
-	// streamer waits on a job that is not terminal, and finish drops it, so
-	// a finished job keeps none.
-	prog     Progress
+	// progWake is closed on every progress update so streamers can block
+	// without polling. It is made only when a streamer waits on a job that
+	// is not terminal, and finish drops it.
 	progWake chan struct{}
 
 	// done is closed when the job turns terminal (Wait returns), recorded
 	// just after, once the flight recorder holds the job's trace.
 	done     chan struct{}
 	recorded chan struct{}
+}
+
+// finishedRun is the running state of every finished job in the table:
+// no graph, context or trace, phase "done", and done and recorded closed,
+// so every accessor answers a finished job as it answers one that has just
+// finished. It is shared, so nothing may write to it: Cancel leaves a job
+// without a cancel func alone, and NextProgress makes no wake channel once
+// done is closed.
+var finishedRun = func() *jobRun {
+	r := &jobRun{phase: "done", done: make(chan struct{}), recorded: make(chan struct{})}
+	close(r.done)
+	close(r.recorded)
+	return r
+}()
+
+// finishedCopy returns what the table keeps of j once finish is through
+// with it: the record over finishedRun, with the coloring packed. The
+// Result is copied, not changed, as info has handed it out.
+func (j *job) finishedCopy() *job {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	fin := &job{jobRecord: j.jobRecord, jobRun: finishedRun}
+	if res := j.result; res != nil && res.Coloring != nil {
+		packed := *res
+		packed.Coloring = nil
+		fin.result = &packed
+		fin.coloring = make([]int32, len(res.Coloring))
+		for v, c := range res.Coloring {
+			fin.coloring[v] = int32(c)
+		}
+	}
+	return fin
 }
 
 // Progress is a live view of a running job's search, assembled from the
@@ -444,8 +495,8 @@ type Progress struct {
 // solver goroutines — under a portfolio, several concurrently.
 func (j *job) recordProgress(effK int, p solverutil.Progress) {
 	j.mu.Lock()
-	j.prog = Progress{
-		Seq:      j.prog.Seq + 1,
+	j.prog = &Progress{
+		Seq:      j.progressLocked().Seq + 1,
 		K:        effK,
 		Elapsed:  time.Since(j.started),
 		Phase:    j.phase,
@@ -456,6 +507,15 @@ func (j *job) recordProgress(effK int, p solverutil.Progress) {
 		j.progWake = nil
 	}
 	j.mu.Unlock()
+}
+
+// progressLocked returns the latest snapshot, Seq 0 when there is none.
+// Caller holds j.mu.
+func (j *job) progressLocked() Progress {
+	if j.prog == nil {
+		return Progress{}
+	}
+	return *j.prog
 }
 
 // setPhase records the lifecycle stage the job just entered.
@@ -658,28 +718,12 @@ func (s *Service) replayJob(e JournalEntry) {
 			}
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:         e.ID,
-		tenant:     tenant,
-		name:       e.Name,
-		g:          g,
-		spec:       e.Spec,
-		ctx:        ctx,
-		cancel:     cancel,
-		seq:        seq,
-		vtime:      e.Submitted.Add(-time.Duration(e.Spec.Priority) * s.cfg.AgingStep),
-		deadlineAt: e.Deadline,
-		state:      StateQueued,
-		submitted:  e.Submitted,
-		phase:      "queued",
-		done:       make(chan struct{}),
-		recorded:   make(chan struct{}),
-	}
+	j := s.newJob(e.ID, tenant, g, e.Spec, e.Submitted, seq)
+	j.deadlineAt = e.Deadline
 	s.mu.Lock()
 	if _, dup := s.jobs[j.id]; dup {
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		return
 	}
 	s.tenant(tenant).inFlight++
@@ -697,6 +741,25 @@ func (s *Service) replayJob(e JournalEntry) {
 	s.pq.push(j)
 	s.logger.Info("job replayed from journal", "job", j.id, "tenant", tenant,
 		"instance", j.name)
+}
+
+// newJob builds a queued job for g, keyed in the admission queue by seq
+// and its priority-aged submission time.
+func (s *Service) newJob(id, tenant string, g *graph.Graph, spec JobSpec, submitted time.Time, seq int64) *job {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &job{
+		jobRecord: jobRecord{
+			id: id, tenant: tenant, name: g.Name(), spec: spec,
+			state: StateQueued, submitted: submitted,
+		},
+		jobRun: &jobRun{
+			g: g, ctx: ctx, cancel: cancel,
+			seq:   seq,
+			vtime: submitted.Add(-time.Duration(spec.Priority) * s.cfg.AgingStep),
+			phase: "queued",
+			done:  make(chan struct{}), recorded: make(chan struct{}),
+		},
+	}
 }
 
 // Submit enqueues one coloring job for the anonymous default tenant. The
@@ -732,37 +795,21 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	}
 	now := time.Now()
 	seq := s.nextID.Add(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:        fmt.Sprintf("job-%d", seq),
-		tenant:    tenant,
-		name:      g.Name(),
-		g:         g,
-		spec:      spec,
-		ctx:       ctx,
-		cancel:    cancel,
-		seq:       seq,
-		vtime:     now.Add(-time.Duration(spec.Priority) * s.cfg.AgingStep),
-		state:     StateQueued,
-		submitted: now,
-		phase:     "queued",
-		done:      make(chan struct{}),
-		recorded:  make(chan struct{}),
-	}
+	j := s.newJob(fmt.Sprintf("job-%d", seq), tenant, g, spec, now, seq)
 	if spec.Deadline > 0 {
 		j.deadlineAt = now.Add(spec.Deadline)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		return "", ErrClosed
 	}
 	if s.draining {
 		ts := s.tenant(tenant)
 		ts.rejects++
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		return "", s.reject(&AdmissionError{
 			Reason: ReasonDraining, Tenant: tenant, RetryAfter: retryAfterHint,
 		})
@@ -771,7 +818,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	if q := s.cfg.TenantMaxInFlight; q > 0 && ts.inFlight >= q {
 		ts.rejects++
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		return "", s.reject(&AdmissionError{
 			Reason: ReasonOverQuota, Tenant: tenant, RetryAfter: retryAfterHint,
 		})
@@ -779,7 +826,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	if s.pq.len() >= s.cfg.QueueDepth {
 		ts.rejects++
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		return "", s.reject(&AdmissionError{
 			Reason: ReasonQueueFull, Tenant: tenant, RetryAfter: retryAfterHint,
 		})
@@ -788,7 +835,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	if ok, wait := s.takeToken(ts, now); !ok {
 		ts.rejects++
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		return "", s.reject(&AdmissionError{
 			Reason: ReasonOverQuota, Tenant: tenant, RetryAfter: wait,
 		})
@@ -850,30 +897,54 @@ func (s *Service) reject(e *AdmissionError) error {
 	return e
 }
 
+// lookup returns the job the table holds under id.
+func (s *Service) lookup(id string) (*job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	return j, ok
+}
+
+// snapshot copies the job table, so callers can visit every job without
+// holding s.mu, which every submit and finish takes.
+func (s *Service) snapshot() []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
 // Cancel cancels a job; queued jobs are dropped when dequeued, running jobs
 // have their solve context cancelled.
 func (s *Service) Cancel(id string) error {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return ErrNoSuchJob
 	}
+	j.requestCancel()
+	return nil
+}
+
+// requestCancel marks the job canceled and cancels its context. A job
+// that has finished has no cancel func and is left as it is.
+func (j *job) requestCancel() {
 	j.mu.Lock()
-	j.canceled = true
 	cancel := j.cancel
+	if cancel != nil {
+		j.canceled = true
+	}
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	return nil
 }
 
 // Job returns a snapshot of the job's current state.
 func (s *Service) Job(id string) (JobInfo, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return JobInfo{}, ErrNoSuchJob
 	}
@@ -883,9 +954,7 @@ func (s *Service) Job(id string) (JobInfo, error) {
 // Wait blocks until the job finishes (done, failed, or canceled) or ctx is
 // cancelled, and returns the final snapshot.
 func (s *Service) Wait(ctx context.Context, id string) (JobInfo, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return JobInfo{}, ErrNoSuchJob
 	}
@@ -899,12 +968,11 @@ func (s *Service) Wait(ctx context.Context, id string) (JobInfo, error) {
 
 // Jobs lists snapshots of all known jobs (unordered).
 func (s *Service) Jobs() []JobInfo {
-	s.mu.Lock()
-	out := make([]JobInfo, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, j.info())
+	jobs := s.snapshot()
+	out := make([]JobInfo, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.info()
 	}
-	s.mu.Unlock()
 	return out
 }
 
@@ -1040,16 +1108,14 @@ func (s *Service) Draining() bool {
 func (s *Service) Drain(ctx context.Context) error {
 	s.BeginDrain()
 	for {
-		s.mu.Lock()
 		var pending []*job
-		for _, j := range s.jobs {
+		for _, j := range s.snapshot() {
 			select {
 			case <-j.done:
 			default:
 				pending = append(pending, j)
 			}
 		}
-		s.mu.Unlock()
 		if len(pending) == 0 {
 			return nil
 		}
@@ -1065,24 +1131,8 @@ func (s *Service) Drain(ctx context.Context) error {
 
 // CancelAll cancels every job that has not finished yet.
 func (s *Service) CancelAll() {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		select {
-		case <-j.done:
-		default:
-			j.mu.Lock()
-			j.canceled = true
-			cancel := j.cancel
-			j.mu.Unlock()
-			if cancel != nil {
-				cancel()
-			}
-		}
+	for _, j := range s.snapshot() {
+		j.requestCancel()
 	}
 }
 
@@ -1350,15 +1400,13 @@ func (s *Service) noteSBP(out core.Outcome) {
 // the job has not reported yet (still queued, done before the first
 // report, or served from the cache without running a solver).
 func (s *Service) Progress(id string) (Progress, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return Progress{}, ErrNoSuchJob
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.prog, nil
+	return j.progressLocked(), nil
 }
 
 // NextProgress blocks until the job publishes a progress snapshot with
@@ -1367,15 +1415,13 @@ func (s *Service) Progress(id string) (Progress, error) {
 // once the job is terminal — the streaming consumer then reads the final
 // JobInfo. Pass the returned Seq back in to iterate.
 func (s *Service) NextProgress(ctx context.Context, id string, afterSeq int64) (Progress, bool, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return Progress{}, false, ErrNoSuchJob
 	}
 	for {
 		j.mu.Lock()
-		p := j.prog
+		p := j.progressLocked()
 		if p.Seq > afterSeq {
 			j.mu.Unlock()
 			return p, true, nil
@@ -1398,7 +1444,7 @@ func (s *Service) NextProgress(ctx context.Context, id string, afterSeq int64) (
 		case <-j.done:
 			// Terminal; report a snapshot that raced the finish, if any.
 			j.mu.Lock()
-			p := j.prog
+			p := j.progressLocked()
 			j.mu.Unlock()
 			if p.Seq > afterSeq {
 				return p, true, nil
@@ -1413,9 +1459,7 @@ func (s *Service) NextProgress(ctx context.Context, id string, afterSeq int64) (
 // JobPhase reports the lifecycle stage the job is in right now ("queued",
 // "canon", "solve", "persist", "done").
 func (s *Service) JobPhase(id string) (string, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return "", ErrNoSuchJob
 	}
@@ -1434,9 +1478,7 @@ func (s *Service) TracingEnabled() bool { return s.recorder != nil }
 // For a terminal job it first waits until finish has recorded the trace,
 // so a Trace call made after Wait returns always finds it.
 func (s *Service) Trace(id string) (*obs.TraceView, error) {
-	s.mu.Lock()
-	j, known := s.jobs[id]
-	s.mu.Unlock()
+	j, known := s.lookup(id)
 	if known {
 		j.mu.Lock()
 		terminal := !j.finished.IsZero()
@@ -1584,6 +1626,16 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.mu.Lock()
 	j.trace, j.rootSpan, j.queueSpan = nil, nil, nil
 	j.mu.Unlock()
+
+	// From here on the table keeps only what the job reports; this struct,
+	// its channels included, lives only as long as a caller holds it. An
+	// entry already pruned stays pruned.
+	fin := j.finishedCopy()
+	s.mu.Lock()
+	if s.jobs[j.id] == j {
+		s.jobs[j.id] = fin
+	}
+	s.mu.Unlock()
 }
 
 func (j *job) info() JobInfo {
@@ -1600,6 +1652,14 @@ func (j *job) info() JobInfo {
 		Finished:  j.finished,
 		QueueWait: j.queueWait,
 		Result:    j.result,
+	}
+	if j.coloring != nil {
+		res := *j.result
+		res.Coloring = make([]int, len(j.coloring))
+		for v, c := range j.coloring {
+			res.Coloring[v] = int(c)
+		}
+		info.Result = &res
 	}
 	if j.err != nil {
 		info.Err = j.err.Error()

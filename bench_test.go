@@ -684,9 +684,8 @@ func BenchmarkServiceIsomorphicBatch(b *testing.B) {
 				b.Fatalf("info=%+v err=%v", info, err)
 			}
 		}
-		st := svc.Stats()
-		if st.SolverRuns != 1 {
-			b.Fatalf("expected 1 solver run, got %d", st.SolverRuns)
+		if runs := svc.Metrics().Snapshot().Int("solver_runs"); runs != 1 {
+			b.Fatalf("expected 1 solver run, got %d", runs)
 		}
 		svc.Close()
 	}

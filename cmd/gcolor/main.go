@@ -26,7 +26,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -336,23 +335,14 @@ func runBatch(ctx context.Context, names []string, spec service.JobSpec, workers
 			info.ID, info.Instance, info.State, status, chi, runtime, engine, cache)
 	}
 	w.Flush()
-	st := svc.Stats()
+	st := svc.Metrics().Snapshot()
 	fmt.Printf("batch: %d submitted, %d solver runs, %d cache hits, %d dedup joins\n",
-		st.Submitted, st.SolverRuns, st.CacheHits, st.DedupJoins)
+		st.Int("submitted"), st.Int("solver_runs"), st.Int("cache_hits"), st.Int("dedup_joins"))
 	fmt.Printf("canon: %d generators, %d orbit prunes, %d prefix prunes, %d inexact (%d skipped persists)\n",
-		st.CanonGenerators, st.CanonOrbitPrunes, st.CanonPrefixPrunes, st.CanonInexact, st.InexactSkips)
-	if len(st.SBPVariants) > 0 {
-		variants := make([]string, 0, len(st.SBPVariants))
-		for name := range st.SBPVariants {
-			variants = append(variants, name)
-		}
-		sort.Strings(variants)
-		parts := make([]string, 0, len(variants))
-		for _, name := range variants {
-			vs := st.SBPVariants[name]
-			parts = append(parts, fmt.Sprintf("%s %d runs/%d perms/%d clauses", name, vs.Runs, vs.Perms, vs.Clauses))
-		}
-		fmt.Printf("sbp: %s\n", strings.Join(parts, ", "))
+		st.Int("canon_generators"), st.Int("canon_orbit_prunes"), st.Int("canon_prefix_prunes"),
+		st.Int("canon_inexact"), st.Int("inexact_skips"))
+	if row, ok := st.Table("sbp_variants")[sbp.VariantName]; ok {
+		fmt.Printf("sbp: %s %d runs/%d perms/%d clauses\n", sbp.VariantName, row["runs"], row["perms"], row["clauses"])
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {

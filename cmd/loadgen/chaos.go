@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/httpapi"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -82,14 +83,14 @@ func runChaos() error {
 	}
 
 	// Let accepted work quiesce so the panic bookkeeping is final.
-	var st service.Stats
+	var st obs.Snapshot
 	for deadline := time.Now().Add(30 * time.Second); ; {
-		st = svc.Stats()
-		if st.QueueDepth == 0 && st.Running == 0 {
+		st = svc.Metrics().Snapshot()
+		if st.Int("queue_depth") == 0 && st.Int("running") == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: %d queued / %d running jobs never finished", st.QueueDepth, st.Running)
+			return fmt.Errorf("chaos: %d queued / %d running jobs never finished", st.Int("queue_depth"), st.Int("running"))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -99,8 +100,8 @@ func runChaos() error {
 	if panics.Load() == 0 {
 		return fmt.Errorf("chaos: no solver panics were injected — the drill tested nothing")
 	}
-	if st.Panics != panics.Load() {
-		return fmt.Errorf("chaos: %d panics injected but %d isolated by the service", panics.Load(), st.Panics)
+	if st.Int("panics") != panics.Load() {
+		return fmt.Errorf("chaos: %d panics injected but %d isolated by the service", panics.Load(), st.Int("panics"))
 	}
 
 	// Heal the disk and confirm the daemon is still serving.
@@ -109,6 +110,6 @@ func runChaos() error {
 		return fmt.Errorf("after chaos: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: chaos: %d store faults injected, %d solver panics isolated, store degraded=%v\n",
-		fs.Injected(), panics.Load(), st.StoreDegraded)
+		fs.Injected(), panics.Load(), st.Bool("store_degraded"))
 	return nil
 }

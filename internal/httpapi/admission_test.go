@@ -133,6 +133,7 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		{"unknown subresource", "GET", "/v1/jobs/job-999/bogus", "", 404, CodeNotFound},
 		{"store unconfigured", "GET", "/v1/store", "", 404, CodeNotFound},
 		{"stats wrong method", "POST", "/v1/stats", "", 405, CodeMethodNotAllowed},
+		{"metrics wrong method", "POST", "/metrics", "", 405, CodeMethodNotAllowed},
 		{"jobs wrong method", "PUT", "/v1/jobs", "", 405, CodeMethodNotAllowed},
 		{"job wrong method", "PUT", "/v1/jobs/job-999", "", 405, CodeMethodNotAllowed},
 	}

@@ -69,6 +69,9 @@ const MaxFormulaSlots = 1 << 24
 type api struct {
 	cfg Config
 	svc *service.Service
+	// store renders the persistent store's families after the service's
+	// (nil without Config.Disk).
+	store *obs.Registry
 }
 
 // New builds the complete gcolord handler.
@@ -89,6 +92,9 @@ func New(cfg Config) http.Handler {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	a := &api{cfg: cfg, svc: cfg.Service}
+	if cfg.Disk != nil {
+		a.store = storeMetrics(cfg.Disk)
+	}
 	mux := http.NewServeMux()
 	if cfg.EnablePprof {
 		// Opt-in only: profiling endpoints leak operational detail, so
@@ -111,9 +117,9 @@ func New(cfg Config) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/readyz", a.getOnly(a.readyz))
-	mux.HandleFunc("/metrics", a.metrics)
+	mux.HandleFunc("/metrics", a.timed(a.getOnly(a.metrics)))
 	mux.HandleFunc("/v1/stats", a.timed(a.getOnly(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, a.svc.Stats())
+		writeJSON(w, http.StatusOK, a.svc.Metrics().Snapshot())
 	})))
 	mux.HandleFunc("/v1/store", a.timed(a.getOnly(func(w http.ResponseWriter, r *http.Request) {
 		if a.cfg.Disk == nil {
@@ -157,26 +163,59 @@ func New(cfg Config) http.Handler {
 // and disk-component health either way; a degraded store keeps the daemon
 // ready (it still serves, memory-only) but is surfaced for alerting.
 func (a *api) readyz(w http.ResponseWriter, r *http.Request) {
-	st := a.svc.Stats()
+	st := a.svc.Metrics().Snapshot()
+	draining, degraded := st.Bool("draining"), st.Bool("store_degraded")
 	status := "ok"
-	if st.StoreDegraded {
+	if degraded {
 		status = "degraded"
 	}
-	if st.Draining {
+	if draining {
 		status = "draining"
 	}
 	body := map[string]any{
 		"status":          status,
-		"queue_depth":     st.QueueDepth,
-		"running":         st.Running,
-		"journal_pending": st.JournalPending,
-		"store_degraded":  st.StoreDegraded,
+		"queue_depth":     st.Int("queue_depth"),
+		"running":         st.Int("running"),
+		"journal_pending": st.Int("journal_pending"),
+		"store_degraded":  degraded,
 	}
-	if st.Draining {
+	if draining {
 		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// metrics serves GET /metrics in the Prometheus text exposition format
+// (version 0.0.4): the service's registry, then the persistent store's.
+func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	a.svc.Metrics().WritePrometheus(w)
+	if a.store != nil {
+		a.store.WritePrometheus(w)
+	}
+}
+
+// storeMetrics declares the persistent store's families, read from one
+// store.Stats per scrape and absent while no store is attached. They
+// have no /v1/stats keys: GET /v1/store serves the same figures.
+func storeMetrics(disk service.StoreStatser) *obs.Registry {
+	reg := obs.NewRegistry("gcolord_")
+	reg.Table("", "", []obs.Column{
+		{Name: "store_entries", Help: "Live records in the persistent store.", Gauge: true},
+		{Name: "store_wal_bytes", Help: "Current WAL size in bytes.", Gauge: true},
+		{Name: "store_snapshot_bytes", Help: "Current snapshot size in bytes.", Gauge: true},
+		{Name: "store_tail_dropped_total", Help: "Corrupt or truncated tail records dropped at startup."},
+		{Name: "store_compactions_total", Help: "Completed WAL-into-snapshot compactions."},
+		{Name: "store_gc_dropped_total", Help: "Records removed by the TTL/size GC policy."},
+	}, func() []obs.Row {
+		st, ok := disk.StoreStats()
+		if !ok {
+			return nil
+		}
+		return []obs.Row{{Values: []int64{int64(st.Entries), st.WALBytes, st.SnapshotBytes, int64(st.TailDropped), st.Compactions, st.GCDropped}}}
+	})
+	return reg
 }
 
 // timed bounds one non-streaming handler through the request context: a

@@ -230,8 +230,8 @@ func TestKillAndRestartServesFromDisk(t *testing.T) {
 	if !info2.Result.CacheHit {
 		t.Fatal("restarted daemon did not serve the isomorphic submission from disk")
 	}
-	if st := svc2.Stats(); st.SolverRuns != 0 {
-		t.Fatalf("restarted daemon ran %d solves, want 0", st.SolverRuns)
+	if runs := svc2.Metrics().Snapshot().Int("solver_runs"); runs != 0 {
+		t.Fatalf("restarted daemon ran %d solves, want 0", runs)
 	}
 
 	// The store endpoint reports the persisted state.

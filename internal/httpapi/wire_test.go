@@ -317,3 +317,27 @@ func wireCompare(t *testing.T, path string, got []byte) {
 		t.Errorf("%s drifted:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
+
+// TestDocsNameEveryMetric: docs/API.md names every /metrics family and
+// every /v1/stats key the daemon declares, with tracing on and a store
+// attached.
+func TestDocsNameEveryMetric(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Close()
+	families, keys := svc.Metrics().Names()
+	storeFamilies, _ := storeMetrics(nil).Names()
+	for _, name := range append(families, storeFamilies...) {
+		if !regexp.MustCompile(`\b` + name + `\b`).Match(doc) {
+			t.Errorf("docs/API.md does not name the /metrics family %s", name)
+		}
+	}
+	for _, key := range keys {
+		if !bytes.Contains(doc, []byte("`"+key+"`")) {
+			t.Errorf("docs/API.md does not name the /v1/stats key %s", key)
+		}
+	}
+}

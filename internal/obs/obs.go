@@ -10,9 +10,11 @@
 // costs one context lookup on the cold path and nothing in the solver's
 // hot loops.
 //
-// Completed traces land in a bounded flight recorder (recorder.go) that
-// also aggregates per-phase latency histograms, the source of the
-// gcolord_phase_seconds series on /metrics and of GET /v1/jobs/{id}/trace.
+// Completed traces land in a bounded flight recorder (recorder.go), the
+// source of GET /v1/jobs/{id}/trace, which also folds every span into a
+// per-phase latency histogram. The metrics registry (metrics.go) holds
+// those histograms beside every other counter and gauge of the daemon and
+// renders them all to /metrics and /v1/stats.
 package obs
 
 import (

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,7 +119,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 func TestRecorderEvictionAndLookup(t *testing.T) {
-	rec := NewRecorder(3)
+	rec := NewRecorder(3, NewRegistry(""))
 	for i := 0; i < 5; i++ {
 		tr := NewTrace(fmt.Sprintf("t%d", i), fmt.Sprintf("job-%d", i))
 		tr.StartSpan(nil, "job").End()
@@ -141,41 +143,40 @@ func TestRecorderEvictionAndLookup(t *testing.T) {
 	if got := rec.Recent(2); len(got) != 2 || got[0].JobID != "job-4" {
 		t.Fatalf("Recent(2) = %+v", got)
 	}
-	st := rec.Stats()
-	if st.Completed != 5 || st.Evicted != 2 || st.Kept != 3 {
-		t.Fatalf("stats = %+v", st)
+	if rec.recorded.Load() != 5 || rec.evicted.Load() != 2 || rec.kept() != 3 {
+		t.Fatalf("recorded %d, evicted %d, kept %d", rec.recorded.Load(), rec.evicted.Load(), rec.kept())
 	}
 }
 
 func TestRecorderHistograms(t *testing.T) {
-	rec := NewRecorder(2)
+	rec := NewRecorder(2, NewRegistry(""))
 	tr := NewTrace("t", "j")
 	s := tr.StartSpanAt(nil, "canon", time.Now().Add(-2*time.Millisecond))
 	s.End()
 	rec.Record(tr)
-	phases := rec.Phases()
-	h, ok := phases["canon"]
-	if !ok || h.Count != 1 {
-		t.Fatalf("canon histogram = %+v", phases)
+	canon, ok := rec.phases.by["canon"]
+	if !ok || canon.Snapshot().Count != 1 {
+		t.Fatalf("canon histogram = %+v among phases %v", canon, rec.phases.by)
 	}
-	if h.SumSeconds < 0.002 {
-		t.Fatalf("sum %v < 2ms", h.SumSeconds)
+	h := canon.Snapshot()
+	if h.SumMS < 2 {
+		t.Fatalf("sum %vms < 2ms", h.SumMS)
 	}
 	if len(h.Buckets) != len(PhaseBuckets)+1 {
 		t.Fatalf("bucket count %d != %d", len(h.Buckets), len(PhaseBuckets)+1)
 	}
 	var total int64
-	for _, c := range h.Buckets {
-		total += c
+	for _, b := range h.Buckets {
+		total += b.Count
 	}
 	if total != h.Count {
 		t.Fatalf("bucket counts sum to %d, count %d", total, h.Count)
 	}
-	// A 2ms observation belongs in a bucket with bound >= 0.002s and the
+	// A 2ms observation belongs in a bucket with bound >= 2ms and the
 	// first such bound no larger than 5ms.
 	for i, b := range PhaseBuckets {
-		if h.Buckets[i] > 0 {
-			if b < 0.002 || b > 0.005 {
+		if h.Buckets[i].Count > 0 {
+			if b < 2*time.Millisecond || b > 5*time.Millisecond {
 				t.Fatalf("2ms observation landed in le=%v", b)
 			}
 			return
@@ -185,13 +186,68 @@ func TestRecorderHistograms(t *testing.T) {
 }
 
 func TestRecorderReplacesReplayedJob(t *testing.T) {
-	rec := NewRecorder(4)
+	rec := NewRecorder(4, NewRegistry(""))
 	for i := 0; i < 2; i++ {
 		tr := NewTrace("t", "job-1")
 		tr.StartSpan(nil, "job").End()
 		rec.Record(tr)
 	}
-	if st := rec.Stats(); st.Kept != 1 {
-		t.Fatalf("re-recorded job id must replace, kept=%d", st.Kept)
+	if kept := rec.kept(); kept != 1 {
+		t.Fatalf("re-recorded job id must replace, kept=%d", kept)
+	}
+}
+
+// TestRecorderReleasesEvictedTraces: a trace that leaves the ring, by
+// eviction or by a replayed job id's newer trace, is no longer reachable
+// from the recorder, so the collector frees it.
+func TestRecorderReleasesEvictedTraces(t *testing.T) {
+	rec := NewRecorder(4, NewRegistry(""))
+	record := func(jobID string) {
+		tr := NewTrace("t", jobID)
+		tr.StartSpan(nil, "job").End()
+		rec.Record(tr)
+	}
+	// watch reports on the returned channel once the collector has freed
+	// the job's current trace.
+	watch := func(jobID string) <-chan struct{} {
+		freed := make(chan struct{})
+		v, ok := rec.Trace(jobID)
+		if !ok {
+			t.Fatalf("%s not in the ring", jobID)
+		}
+		runtime.SetFinalizer(v, func(*TraceView) { close(freed) })
+		return freed
+	}
+	awaitFreed := func(what string, freed <-chan struct{}) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		t.Fatalf("%s is still reachable", what)
+	}
+
+	for i := 0; i < 4; i++ {
+		record(fmt.Sprintf("job-%d", i))
+	}
+	replaced := watch("job-2")
+	record("job-2")
+	awaitFreed("the replaced trace of job-2", replaced)
+	evicted := watch("job-0")
+	record("job-4")
+	if _, ok := rec.Trace("job-0"); ok {
+		t.Fatal("job-0 should have been evicted")
+	}
+	awaitFreed("the evicted trace of job-0", evicted)
+	var order []string
+	for _, v := range rec.Recent(0) {
+		order = append(order, v.JobID)
+	}
+	if want := []string{"job-4", "job-2", "job-3", "job-1"}; !slices.Equal(order, want) {
+		t.Fatalf("ring holds %v, want %v", order, want)
 	}
 }

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sort"
+	"math"
 	"sync"
 	"time"
 )
@@ -97,32 +97,12 @@ func (t *Trace) View() *TraceView {
 
 func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// PhaseBuckets are the upper bounds, in seconds, of the per-phase latency
-// histograms (an implicit +Inf bucket follows). Sub-millisecond buckets
-// exist because admission and persist phases run in microseconds while
-// solve phases run in seconds — one bucket layout covers both.
-var PhaseBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// Histogram is a snapshot of one phase's latency distribution. Buckets
-// holds one non-cumulative count per PhaseBuckets bound plus a final
-// +Inf overflow count.
-type Histogram struct {
-	Count      int64   `json:"count"`
-	SumSeconds float64 `json:"sum_seconds"`
-	Buckets    []int64 `json:"buckets"`
-}
-
-// RecorderStats are the flight recorder's own counters.
-type RecorderStats struct {
-	// Completed counts traces recorded since startup; Evicted counts
-	// traces pushed out of the ring by newer ones; Kept is the current
-	// ring occupancy.
-	Completed int64 `json:"completed"`
-	Evicted   int64 `json:"evicted"`
-	Kept      int   `json:"kept"`
+// PhaseBuckets are the bucket bounds of the per-phase latency histograms,
+// 100 µs to 60 s (an implicit +Inf bucket follows). Sub-millisecond
+// buckets exist because admission and persist phases run in microseconds
+// while solve phases run in seconds — one bucket layout covers both.
+var PhaseBuckets = []time.Duration{
+	1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9, 2.5e9, 5e9, 1e10, 3e10, 6e10,
 }
 
 // Recorder is the bounded in-memory flight recorder: the newest keep
@@ -130,27 +110,42 @@ type RecorderStats struct {
 // histograms over every trace ever recorded (histograms survive ring
 // eviction — they aggregate, the ring retains detail).
 type Recorder struct {
-	mu    sync.Mutex
-	keep  int
-	ring  []*TraceView // oldest first
+	mu sync.Mutex
+	// ring is a circular buffer of len keep holding n traces, the oldest
+	// at head. A slot is cleared when its trace leaves, so the recorder
+	// keeps no evicted trace reachable.
+	ring  []*TraceView
+	head  int
+	n     int
 	byJob map[string]*TraceView
-	hist  map[string]*Histogram
-	stats RecorderStats
+
+	phases   *HistogramVec
+	recorded *Counter
+	evicted  *Counter
 }
 
 // NewRecorder builds a recorder retaining the newest keep traces
 // (keep < 1 is clamped to 1; fully disabled tracing is the service not
-// constructing a recorder at all).
-func NewRecorder(keep int) *Recorder {
+// constructing a recorder at all) and declares its families in reg: the
+// phase_seconds{phase} histograms, traces_recorded_total,
+// traces_evicted_total and traces_kept.
+func NewRecorder(keep int, reg *Registry) *Recorder {
 	if keep < 1 {
 		keep = 1
 	}
-	return &Recorder{
-		keep:  keep,
+	r := &Recorder{
+		ring:  make([]*TraceView, keep),
 		byJob: make(map[string]*TraceView, keep),
-		hist:  make(map[string]*Histogram),
 	}
+	r.phases = reg.HistogramVec("phase_seconds", "Time spent per job lifecycle phase, from completed traces.", "phase", PhaseBuckets)
+	r.recorded = reg.Counter("traces_recorded_total", "", "Completed job traces recorded by the flight recorder.")
+	r.evicted = reg.Counter("traces_evicted_total", "", "Traces pushed out of the flight recorder ring by newer ones.")
+	reg.Gauge("traces_kept", "", "Completed traces currently held by the flight recorder.", r.kept)
+	return r
 }
+
+// slot is the ring index of the i-th oldest trace.
+func (r *Recorder) slot(i int) int { return (r.head + i) % len(r.ring) }
 
 // Record finalizes t into the ring and folds every span's duration into
 // its phase histogram. Call once, after the job reached a terminal state
@@ -161,51 +156,50 @@ func (r *Recorder) Record(t *Trace) {
 	}
 	v := t.View()
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stats.Completed++
 	if old, ok := r.byJob[v.JobID]; ok {
-		// A replayed job id re-traced after a restart: replace in place.
-		for i, e := range r.ring {
-			if e == old {
-				r.ring = append(r.ring[:i], r.ring[i+1:]...)
+		// A replayed job id re-traced after a restart: the old trace
+		// leaves, and the newer ones close the gap.
+		for i := 0; i < r.n; i++ {
+			if r.ring[r.slot(i)] == old {
+				for ; i+1 < r.n; i++ {
+					r.ring[r.slot(i)] = r.ring[r.slot(i+1)]
+				}
+				r.ring[r.slot(i)] = nil
+				r.n--
 				break
 			}
 		}
 	}
-	r.ring = append(r.ring, v)
-	r.byJob[v.JobID] = v
-	for len(r.ring) > r.keep {
-		old := r.ring[0]
-		r.ring = r.ring[1:]
-		r.stats.Evicted++
+	if r.n == len(r.ring) {
+		old := r.ring[r.head]
+		r.ring[r.head] = nil
+		r.head = r.slot(1)
+		r.n--
+		r.evicted.Inc()
 		if r.byJob[old.JobID] == old {
 			delete(r.byJob, old.JobID)
 		}
 	}
-	r.stats.Kept = len(r.ring)
+	r.ring[r.slot(r.n)] = v
+	r.n++
+	r.byJob[v.JobID] = v
+	r.mu.Unlock()
+	r.recorded.Inc()
 	var walk func(list []*SpanView)
 	walk = func(list []*SpanView) {
 		for _, s := range list {
-			r.observeLocked(s.Name, s.DurationMS/1e3)
+			r.phases.With(s.Name).Observe(time.Duration(math.Round(s.DurationMS * 1e6)))
 			walk(s.Children)
 		}
 	}
 	walk(v.Spans)
 }
 
-// observeLocked folds one duration (seconds) into the phase's histogram.
-func (r *Recorder) observeLocked(phase string, seconds float64) {
-	h := r.hist[phase]
-	if h == nil {
-		h = &Histogram{Buckets: make([]int64, len(PhaseBuckets)+1)}
-		r.hist[phase] = h
-	}
-	h.Count++
-	h.SumSeconds += seconds
-	i := sort.SearchFloat64s(PhaseBuckets, seconds)
-	// SearchFloat64s finds the first bound >= seconds, which is exactly
-	// the le-bucket; seconds above every bound land in the +Inf slot.
-	h.Buckets[i]++
+// kept is the number of traces the ring holds.
+func (r *Recorder) kept() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return int64(r.n)
 }
 
 // Trace returns the completed trace for one job id, if still in the ring.
@@ -227,38 +221,12 @@ func (r *Recorder) Recent(n int) []*TraceView {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n <= 0 || n > len(r.ring) {
-		n = len(r.ring)
+	if n <= 0 || n > r.n {
+		n = r.n
 	}
 	out := make([]*TraceView, 0, n)
-	for i := len(r.ring) - 1; i >= len(r.ring)-n; i-- {
-		out = append(out, r.ring[i])
+	for i := r.n - 1; i >= r.n-n; i-- {
+		out = append(out, r.ring[r.slot(i)])
 	}
 	return out
-}
-
-// Phases snapshots the per-phase latency histograms, keyed by span name.
-func (r *Recorder) Phases() map[string]Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]Histogram, len(r.hist))
-	for name, h := range r.hist {
-		c := *h
-		c.Buckets = append([]int64(nil), h.Buckets...)
-		out[name] = c
-	}
-	return out
-}
-
-// Stats returns the recorder's own counters.
-func (r *Recorder) Stats() RecorderStats {
-	if r == nil {
-		return RecorderStats{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Admission-control reject reasons, the stable machine-readable vocabulary
-// shared by AdmissionError, the Stats reject counters, and the HTTP error
+// shared by AdmissionError, the rejects_total counters, and the HTTP error
 // envelope (docs/API.md).
 const (
 	ReasonQueueFull   = "queue_full"
@@ -67,16 +67,6 @@ type tenantState struct {
 	rejects  int64
 }
 
-// TenantStats is one tenant's externally visible admission counters.
-type TenantStats struct {
-	// Accepts counts submissions admitted to the queue.
-	Accepts int64 `json:"accepts"`
-	// Rejects counts submissions refused by rate limit or quota.
-	Rejects int64 `json:"rejects"`
-	// InFlight is the tenant's current queued + running jobs.
-	InFlight int `json:"in_flight"`
-}
-
 // maxTenants bounds the tenant table. X-Tenant names come from clients, so
 // without a bound every distinct name would stay in memory and in
 // /metrics forever.
@@ -103,7 +93,7 @@ func (s *Service) tenant(name string) *tenantState {
 // dropIdleTenants forgets every tenant a fresh entry would reproduce: no
 // job queued or running and, under a rate limit, a bucket refilled to
 // TenantBurst. No admission decision changes; only the dropped tenants'
-// counters leave Stats. Caller holds s.mu.
+// counters leave /v1/stats and /metrics. Caller holds s.mu.
 func (s *Service) dropIdleTenants(now time.Time) {
 	rate, burst := s.cfg.TenantRate, float64(s.cfg.TenantBurst)
 	for name, ts := range s.tenants {
@@ -141,45 +131,6 @@ func (s *Service) takeToken(ts *tenantState, now time.Time) (bool, time.Duration
 	}
 	ts.tokens--
 	return true, 0
-}
-
-// QueueWaitBucketsMS are the upper bounds (milliseconds) of the queue-wait
-// histogram buckets; an implicit +Inf bucket follows the last bound.
-var QueueWaitBucketsMS = []int64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// Histogram is a fixed-bucket latency histogram (queue wait, in Stats).
-type Histogram struct {
-	// Count and SumMS aggregate every observation.
-	Count int64 `json:"count"`
-	SumMS int64 `json:"sum_ms"`
-	// Buckets holds one non-cumulative count per QueueWaitBucketsMS
-	// bound, plus a final overflow (+Inf) bucket.
-	Buckets []HistogramBucket `json:"buckets"`
-}
-
-// HistogramBucket is one histogram bucket: observations ≤ LEms not
-// counted by an earlier bucket. LEms of -1 marks the +Inf bucket.
-type HistogramBucket struct {
-	LEms  int64 `json:"le_ms"`
-	Count int64 `json:"count"`
-}
-
-// observeQueueWait records one job's time-in-queue. Caller must not hold
-// s.mu.
-func (s *Service) observeQueueWait(d time.Duration) {
-	ms := d.Milliseconds()
-	idx := len(QueueWaitBucketsMS) // +Inf
-	for i, le := range QueueWaitBucketsMS {
-		if ms <= le {
-			idx = i
-			break
-		}
-	}
-	s.mu.Lock()
-	s.queueWaitCount++
-	s.queueWaitSumMS += ms
-	s.queueWaitBuckets[idx]++
-	s.mu.Unlock()
 }
 
 // pqueue is the admission queue: a blocking priority heap ordered by

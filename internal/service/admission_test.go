@@ -13,6 +13,7 @@ import (
 	"repro/internal/autom"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pbsolver"
 	"repro/internal/solverutil"
 )
@@ -176,14 +177,15 @@ func TestTenantQuotaIsolation(t *testing.T) {
 		}
 	}
 
-	st := svc.Stats()
-	if st.Tenants["tenant-a"].Accepts != 3 || st.Tenants["tenant-a"].Rejects == 0 {
-		t.Fatalf("tenant A stats %+v", st.Tenants["tenant-a"])
+	st := svc.Metrics().Snapshot()
+	tenants := st.Table("tenants")
+	if tenants["tenant-a"]["accepts"] != 3 || tenants["tenant-a"]["rejects"] == 0 {
+		t.Fatalf("tenant A stats %+v", tenants["tenant-a"])
 	}
-	if st.Tenants["tenant-b"].Accepts != 3 || st.Tenants["tenant-b"].Rejects != 0 {
-		t.Fatalf("tenant B stats %+v", st.Tenants["tenant-b"])
+	if tenants["tenant-b"]["accepts"] != 3 || tenants["tenant-b"]["rejects"] != 0 {
+		t.Fatalf("tenant B stats %+v", tenants["tenant-b"])
 	}
-	if st.RejectsOverQuota == 0 {
+	if st.Int("rejects_over_quota") == 0 {
 		t.Fatalf("stats %+v: expected over-quota rejects", st)
 	}
 }
@@ -257,7 +259,7 @@ func TestTenantTableBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := len(svc.Stats().Tenants); n > maxTenants {
+		if n := len(svc.Metrics().Snapshot().Table("tenants")); n > maxTenants {
 			t.Fatalf("%d distinct idle tenants left %d entries, want at most %d", flood, n, maxTenants)
 		}
 	})
@@ -316,14 +318,14 @@ func TestTenantTableBounded(t *testing.T) {
 				t.Fatalf("flood submission %d: got %v, want ErrQueueFull", i, err)
 			}
 		}
-		st := svc.Stats()
-		if n := len(st.Tenants); n > maxTenants {
+		tenants := svc.Metrics().Snapshot().Table("tenants")
+		if n := len(tenants); n > maxTenants {
 			t.Fatalf("%d distinct tenants left %d entries, want at most %d", flood, n, maxTenants)
 		}
-		if busy, ok := st.Tenants["busy"]; !ok || busy.InFlight != 1 || busy.Accepts != 1 {
+		if busy, ok := tenants["busy"]; !ok || busy["in_flight"] != 1 || busy["accepts"] != 1 {
 			t.Fatalf("busy tenant entry %+v (present %v), want its running job counted", busy, ok)
 		}
-		if drained, ok := st.Tenants["drained"]; !ok || drained.Accepts != 1 || drained.Rejects != 1 {
+		if drained, ok := tenants["drained"]; !ok || drained["accepts"] != 1 || drained["rejects"] != 1 {
 			t.Fatalf("drained tenant entry %+v (present %v), want its counters kept", drained, ok)
 		}
 		if _, err := svc.SubmitTenant("busy", distinctGraph("busy", 8), JobSpec{K: 5}); !errors.Is(err, ErrOverQuota) {
@@ -384,8 +386,8 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("solver ran %d times, want 1 (gate only) — expired job must not solve", got)
 	}
-	if st := svc.Stats(); st.Expired != 1 {
-		t.Fatalf("stats.Expired = %d, want 1", st.Expired)
+	if n := svc.Metrics().Snapshot().Int("expired"); n != 1 {
+		t.Fatalf("expired = %d, want 1", n)
 	}
 }
 
@@ -401,19 +403,41 @@ func TestQueueWaitHistogram(t *testing.T) {
 	if _, err := svc.Wait(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	st := svc.Stats()
-	if st.QueueWait.Count != 1 {
-		t.Fatalf("histogram count %d, want 1", st.QueueWait.Count)
+	qw := svc.Metrics().Snapshot().Value("queue_wait").(obs.HistogramSnapshot)
+	if qw.Count != 1 {
+		t.Fatalf("histogram count %d, want 1", qw.Count)
 	}
 	var total int64
-	for _, b := range st.QueueWait.Buckets {
+	for _, b := range qw.Buckets {
 		total += b.Count
 	}
 	if total != 1 {
-		t.Fatalf("bucket counts sum to %d, want 1 (%+v)", total, st.QueueWait.Buckets)
+		t.Fatalf("bucket counts sum to %d, want 1 (%+v)", total, qw.Buckets)
 	}
-	if n := len(st.QueueWait.Buckets); n != len(QueueWaitBucketsMS)+1 {
-		t.Fatalf("%d buckets, want %d (+Inf included)", n, len(QueueWaitBucketsMS)+1)
+	if n := len(qw.Buckets); n != len(queueWaitBounds)+1 {
+		t.Fatalf("%d buckets, want %d (+Inf included)", n, len(queueWaitBounds)+1)
+	}
+}
+
+// TestQueueWaitExact: a wait is counted at its exact duration, not
+// truncated to whole milliseconds: 1.5 ms lands in the 5 ms bucket and
+// adds 1.5 ms to the sum.
+func TestQueueWaitExact(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	svc.m.queueWait.Observe(1500 * time.Microsecond)
+	qw := svc.Metrics().Snapshot().Value("queue_wait").(obs.HistogramSnapshot)
+	for _, b := range qw.Buckets {
+		want := int64(0)
+		if b.LEms == 5 {
+			want = 1
+		}
+		if b.Count != want {
+			t.Fatalf("bucket le_ms=%v holds %d, want %d: %+v", b.LEms, b.Count, want, qw.Buckets)
+		}
+	}
+	if qw.Count != 1 || qw.SumMS != 1.5 {
+		t.Fatalf("count %d, sum %v ms; want 1, 1.5", qw.Count, qw.SumMS)
 	}
 }
 
@@ -450,8 +474,8 @@ func TestValidateFieldErrors(t *testing.T) {
 	if _, err := svc.Submit(distinctGraph("g", 4), spec); !errors.As(err, &verr) {
 		t.Fatalf("Submit accepted an invalid spec: %v", err)
 	}
-	if st := svc.Stats(); st.RejectsInvalidSpec != 1 {
-		t.Fatalf("RejectsInvalidSpec = %d, want 1", st.RejectsInvalidSpec)
+	if n := svc.Metrics().Snapshot().Int("rejects_invalid_spec"); n != 1 {
+		t.Fatalf("rejects_invalid_spec = %d, want 1", n)
 	}
 }
 

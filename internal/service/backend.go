@@ -178,10 +178,6 @@ func (b *DiskBackend) Put(key string, rec CacheRecord) error {
 // Len implements Backend.
 func (b *DiskBackend) Len() int { return b.st.Len() }
 
-// Stats exposes the underlying store's counters (WAL/snapshot sizes,
-// dropped tail records, compactions) for operational endpoints.
-func (b *DiskBackend) Stats() store.Stats { return b.st.Stats() }
-
 // StoreStats implements StoreStatser.
 func (b *DiskBackend) StoreStats() (store.Stats, bool) { return b.st.Stats(), true }
 

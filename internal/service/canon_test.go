@@ -45,12 +45,12 @@ func TestInexactKeyNotPersisted(t *testing.T) {
 	if info.Result.CanonExact {
 		t.Fatal("expected an inexact canonical form under CanonMaxNodes=1")
 	}
-	st := svc.Stats()
-	if st.CanonInexact == 0 {
-		t.Fatal("CanonInexact not counted")
+	st := svc.Metrics().Snapshot()
+	if st.Int("canon_inexact") == 0 {
+		t.Fatal("canon_inexact not counted")
 	}
-	if st.InexactSkips != 1 {
-		t.Fatalf("InexactSkips = %d, want 1", st.InexactSkips)
+	if n := st.Int("inexact_skips"); n != 1 {
+		t.Fatalf("inexact_skips = %d, want 1", n)
 	}
 	if backend.Len() != 0 {
 		t.Fatalf("inexact-keyed record persisted: backend holds %d entries", backend.Len())
@@ -80,9 +80,8 @@ func TestCanonKeyIndependentOfDeadline(t *testing.T) {
 	if _, err := svc.Wait(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	st := svc.Stats()
-	if st.CanonInexact != 0 {
-		t.Fatalf("canonical search truncated %d times; the deadline leaked into canonicalization", st.CanonInexact)
+	if n := svc.Metrics().Snapshot().Int("canon_inexact"); n != 0 {
+		t.Fatalf("canonical search truncated %d times; the deadline leaked into canonicalization", n)
 	}
 }
 
@@ -117,8 +116,8 @@ func TestDiscoveredGeneratorsReachSolver(t *testing.T) {
 	if got.Load() == 0 {
 		t.Fatal("no discovered generators reached the solver for a cycle graph")
 	}
-	st := svc.Stats()
-	if st.CanonGenerators == 0 || st.CanonOrbitPrunes == 0 {
-		t.Fatalf("canon stats not accumulated: %+v", st)
+	st := svc.Metrics().Snapshot()
+	if st.Int("canon_generators") == 0 || st.Int("canon_orbit_prunes") == 0 {
+		t.Fatalf("canon stats not accumulated: generators %d, orbit prunes %d", st.Int("canon_generators"), st.Int("canon_orbit_prunes"))
 	}
 }

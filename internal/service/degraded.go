@@ -28,8 +28,8 @@ type Health struct {
 }
 
 // HealthReporter is implemented by components that can degrade
-// (ResilientBackend, DiskJournal). The service surfaces their Health in
-// Stats.
+// (ResilientBackend, DiskJournal). The service reports their Health in
+// /v1/stats and /metrics.
 type HealthReporter interface {
 	Health() Health
 }

@@ -106,12 +106,12 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("bystander job state = %q, want done", infoFine.State)
 	}
 
-	st := svc.Stats()
-	if st.Panics != 1 {
-		t.Fatalf("Stats().Panics = %d, want 1", st.Panics)
+	st := svc.Metrics().Snapshot()
+	if n := st.Int("panics"); n != 1 {
+		t.Fatalf("panics = %d, want 1", n)
 	}
-	if st.Failed != 1 {
-		t.Fatalf("Stats().Failed = %d, want 1", st.Failed)
+	if n := st.Int("failed"); n != 1 {
+		t.Fatalf("failed = %d, want 1", n)
 	}
 }
 
@@ -170,8 +170,8 @@ func TestJournalReplayCompletesJobs(t *testing.T) {
 	if infoExp.State != StateExpired.String() {
 		t.Fatalf("replayed past-deadline job-8 = %q, want expired", infoExp.State)
 	}
-	if st := svc.Stats(); st.Replayed != 2 {
-		t.Fatalf("Stats().Replayed = %d, want 2", st.Replayed)
+	if n := svc.Metrics().Snapshot().Int("replayed"); n != 2 {
+		t.Fatalf("replayed = %d, want 2", n)
 	}
 	if runs.Load() != 1 {
 		t.Fatalf("solver ran %d times, want 1 (expired entry must not solve)", runs.Load())
@@ -241,8 +241,8 @@ func TestJournalReplayRetiresDamagedEntry(t *testing.T) {
 	if _, err := svc.Job("job-1"); !errors.Is(err, ErrNoSuchJob) {
 		t.Fatalf("damaged entry job-1 was admitted (err %v)", err)
 	}
-	if st := svc.Stats(); st.Replayed != 1 {
-		t.Fatalf("Stats().Replayed = %d, want 1", st.Replayed)
+	if n := svc.Metrics().Snapshot().Int("replayed"); n != 1 {
+		t.Fatalf("replayed = %d, want 1", n)
 	}
 	if got := jr2.Pending(); got != 0 {
 		t.Fatalf("journal still holds %d entries, want the damaged one retired", got)
@@ -534,12 +534,12 @@ func TestCancelAllWithQueuedJobs(t *testing.T) {
 	// Wait until the single worker holds one job and the rest are queued.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := svc.Stats()
-		if st.Running == 1 && st.QueueDepth == 3 {
+		st := svc.Metrics().Snapshot()
+		if st.Int("running") == 1 && st.Int("queue_depth") == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never reached 1 running / 3 queued: %+v", svc.Stats())
+			t.Fatalf("never reached 1 running / 3 queued: %d running, %d queued", st.Int("running"), st.Int("queue_depth"))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -556,7 +556,7 @@ func TestCancelAllWithQueuedJobs(t *testing.T) {
 			t.Fatalf("job %s state = %q, want canceled", id, info.State)
 		}
 	}
-	if st := svc.Stats(); st.Canceled != 4 {
-		t.Fatalf("Stats().Canceled = %d, want 4", st.Canceled)
+	if n := svc.Metrics().Snapshot().Int("canceled"); n != 4 {
+		t.Fatalf("canceled = %d, want 4", n)
 	}
 }

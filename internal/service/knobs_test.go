@@ -313,8 +313,8 @@ func TestCancelThenResubmit(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("solver ran %d times, want 2 (cancelled run + fresh run)", calls)
 	}
-	st := svc.Stats()
-	if st.Canceled != 1 || st.Completed != 1 {
-		t.Fatalf("stats = %+v, want 1 canceled and 1 completed", st)
+	st := svc.Metrics().Snapshot()
+	if st.Int("canceled") != 1 || st.Int("completed") != 1 {
+		t.Fatalf("%d canceled and %d completed, want 1 and 1", st.Int("canceled"), st.Int("completed"))
 	}
 }

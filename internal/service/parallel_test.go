@@ -71,8 +71,8 @@ func TestParallelKnobsShareCacheEntries(t *testing.T) {
 	if info.Result == nil || !info.Result.CacheHit {
 		t.Fatalf("parallel resubmission missed the knob-blind cache: %+v", info.Result)
 	}
-	if st := svc.Stats(); st.SolverRuns != 1 {
-		t.Fatalf("want 1 solver run, got %d", st.SolverRuns)
+	if runs := svc.Metrics().Snapshot().Int("solver_runs"); runs != 1 {
+		t.Fatalf("want 1 solver run, got %d", runs)
 	}
 }
 

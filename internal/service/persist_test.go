@@ -91,8 +91,8 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if got := runs2.Load(); got != 0 {
 		t.Fatalf("second life ran the solver %d times, want 0", got)
 	}
-	if st := svc2.Stats(); st.CacheHits != N {
-		t.Fatalf("second life: %d cache hits, want %d", st.CacheHits, N)
+	if hits := svc2.Metrics().Snapshot().Int("cache_hits"); hits != N {
+		t.Fatalf("second life: %d cache hits, want %d", hits, N)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestWaiterResolvePersists(t *testing.T) {
 	// Wait until both workers are busy: the leader inside the stub, the
 	// waiter parked on the singleflight entry.
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.Stats().Running != 2 {
+	for svc.Metrics().Snapshot().Int("running") != 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("jobs did not both start")
 		}

@@ -93,7 +93,7 @@ func TestSBPVariantStatsAggregation(t *testing.T) {
 		}
 	}
 
-	if rows := svc.Stats().SBPVariants; rows != nil {
+	if rows := svc.Metrics().Snapshot().Table("sbp_variants"); len(rows) != 0 {
 		t.Fatalf("stats rows before any predicate layer ran = %v, want none", rows)
 	}
 	// Distinct K values force distinct cache entries, so each submission
@@ -103,12 +103,12 @@ func TestSBPVariantStatsAggregation(t *testing.T) {
 	submit(JobSpec{K: 7, InstanceDependent: true})
 	submit(JobSpec{K: 8}) // no predicate layer: must not count in the full row
 
-	st := svc.Stats()
-	if got := st.SBPVariants["full"]; got.Runs != 3 || got.Perms != 9 || got.Clauses != 120 {
+	rows := svc.Metrics().Snapshot().Table("sbp_variants")
+	if got := rows["full"]; got["runs"] != 3 || got["perms"] != 9 || got["clauses"] != 120 {
 		t.Fatalf("full row = %+v, want runs=3 perms=9 clauses=120", got)
 	}
-	if len(st.SBPVariants) != 1 {
-		t.Fatalf("stats rows = %v, want only full", st.SBPVariants)
+	if len(rows) != 1 {
+		t.Fatalf("stats rows = %v, want only full", rows)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestSBPVariantRaceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFullResult(t, g, chi, 8, info)
-	if row := svc.Stats().SBPVariants["full"]; row.Runs != 1 {
+	if row := svc.Metrics().Snapshot().Table("sbp_variants")["full"]; row["runs"] != 1 {
 		t.Fatalf("full stats row = %+v, want one run", row)
 	}
 }

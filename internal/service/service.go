@@ -182,92 +182,6 @@ type Result struct {
 	CanonExact bool `json:"canon_exact"`
 }
 
-// Stats are the service's cumulative counters.
-type Stats struct {
-	Submitted  int64 `json:"submitted"`
-	Completed  int64 `json:"completed"`
-	Failed     int64 `json:"failed"`
-	Canceled   int64 `json:"canceled"`
-	SolverRuns int64 `json:"solver_runs"`
-	// CacheHits counts results served from the cache backend (memory or
-	// disk); DedupJoins counts submissions that waited on an identical
-	// in-flight solve instead of starting their own.
-	CacheHits  int64 `json:"cache_hits"`
-	DedupJoins int64 `json:"dedup_joins"`
-	// StoreErrors counts failed backend writes; the cache stays
-	// best-effort (the result is still returned, just not persisted).
-	StoreErrors int64 `json:"store_errors"`
-	// CanonInexact counts canonical searches that hit their node budget.
-	CanonInexact int64 `json:"canon_inexact"`
-	// InexactSkips counts solved results NOT persisted to the backend
-	// because their canonical key was inexact — such a key is budget- and
-	// order-dependent, so a durable entry under it would never be hit
-	// again and only bloat the store. (In-flight waiters under the same
-	// key still receive the result: an equal key in-process always means
-	// isomorphic graphs.)
-	InexactSkips int64 `json:"inexact_skips"`
-	// SBPVariants aggregates predicate emission across all solver runs
-	// whose symmetry-breaking layer ran: run count, lex-leader
-	// permutations emitted, and CNF clauses added. Its one row is keyed
-	// "full" (sbp.VariantName) and appears once that layer has run.
-	SBPVariants map[string]SBPVariantStats `json:"sbp_variants,omitempty"`
-	// CanonGenerators / CanonOrbitPrunes / CanonPrefixPrunes report the
-	// automorphism discovery fused into the canonical labeling search:
-	// verified generators found at equal leaves, sibling subtrees skipped
-	// because a generator maps them onto an explored one, and subtrees cut
-	// by incumbent prefix comparison.
-	CanonGenerators   int64 `json:"canon_generators"`
-	CanonOrbitPrunes  int64 `json:"canon_orbit_prunes"`
-	CanonPrefixPrunes int64 `json:"canon_prefix_prunes"`
-	// CacheEntries is the number of definitive records in the backend;
-	// InFlight is the number of solves currently leading a singleflight
-	// group.
-	CacheEntries int `json:"cache_entries"`
-	InFlight     int `json:"in_flight"`
-	QueueDepth   int `json:"queue_depth"`
-	Running      int `json:"running"`
-
-	// Admission counters. Expired counts jobs whose deadline elapsed in
-	// the queue (they never reached a worker); the Rejects* counters
-	// split Submit refusals by reason; QueueWait is the histogram of
-	// time-in-queue for every dequeued job; Tenants holds the per-tenant
-	// accept/reject/in-flight counters, keyed by tenant name.
-	Expired            int64                  `json:"expired"`
-	RejectsQueueFull   int64                  `json:"rejects_queue_full"`
-	RejectsOverQuota   int64                  `json:"rejects_over_quota"`
-	RejectsInvalidSpec int64                  `json:"rejects_invalid_spec"`
-	RejectsDraining    int64                  `json:"rejects_draining"`
-	QueueWait          Histogram              `json:"queue_wait"`
-	Tenants            map[string]TenantStats `json:"tenants,omitempty"`
-
-	// Fault-tolerance counters. Panics counts solver panics isolated into
-	// per-job failures; Replayed counts jobs resurrected from the journal
-	// at startup; Draining reports admission refusing new work for
-	// shutdown. StoreDegraded is true while the result-cache backend or
-	// the job journal runs memory-only after disk failures; StoreHealth /
-	// JournalHealth carry the detail when those components can degrade,
-	// and JournalPending is the number of journaled jobs not yet terminal.
-	Panics         int64   `json:"panics"`
-	Replayed       int64   `json:"replayed"`
-	Draining       bool    `json:"draining"`
-	StoreDegraded  bool    `json:"store_degraded"`
-	StoreHealth    *Health `json:"store_health,omitempty"`
-	JournalHealth  *Health `json:"journal_health,omitempty"`
-	JournalPending int     `json:"journal_pending,omitempty"`
-}
-
-// SBPVariantStats is the row of Stats.SBPVariants: the cumulative
-// symmetry-breaking work of the predicate layer.
-type SBPVariantStats struct {
-	// Runs counts solver runs that emitted predicates.
-	Runs int64 `json:"runs"`
-	// Perms counts lex-leader permutations actually emitted (after
-	// verification).
-	Perms int64 `json:"perms"`
-	// Clauses counts the CNF clauses those predicates added.
-	Clauses int64 `json:"clauses"`
-}
-
 // SolveFunc produces the outcome for one job; tests inject counters and
 // stubs here. The default is DefaultSolve. sym carries automorphisms of
 // the job's graph discovered by the canonical-labeling search (possibly
@@ -575,41 +489,17 @@ type Service struct {
 	// count, counters), created on first submission and dropped once idle
 	// when the table is full (see maxTenants).
 	tenants map[string]*tenantState
-	// sbpStats aggregates predicate emission (guarded by mu); see
-	// Stats.SBPVariants.
-	sbpStats SBPVariantStats
-	// Queue-wait histogram: one count per QueueWaitBucketsMS bound plus
-	// the +Inf overflow bucket.
-	queueWaitBuckets []int64
-	queueWaitCount   int64
-	queueWaitSumMS   int64
-	closed           bool
+	closed  bool
 	// draining stops admission (typed ReasonDraining rejections) while
 	// in-flight jobs run to completion; see BeginDrain/Drain.
 	draining bool
 
-	nextID      atomic.Int64
-	submitted   atomic.Int64
-	completed   atomic.Int64
-	failed      atomic.Int64
-	canceled    atomic.Int64
-	expired     atomic.Int64
-	solverRuns  atomic.Int64
-	cacheHits   atomic.Int64
-	dedupJoins  atomic.Int64
-	storeErrs   atomic.Int64
-	inexact     atomic.Int64
-	inexactSkip atomic.Int64
-	canonGens   atomic.Int64
-	canonOrbit  atomic.Int64
-	canonPrefix atomic.Int64
-	running     atomic.Int64
-	rejectFull  atomic.Int64
-	rejectQuota atomic.Int64
-	rejectSpec  atomic.Int64
-	rejectDrain atomic.Int64
-	panics      atomic.Int64
-	replayed    atomic.Int64
+	// reg renders /metrics and /v1/stats; m holds the counters declared
+	// in it (metrics.go).
+	reg     *obs.Registry
+	m       metrics
+	nextID  atomic.Int64
+	running atomic.Int64
 }
 
 // New starts a service with the given configuration.
@@ -636,22 +526,14 @@ func New(cfg Config) *Service {
 		}
 	}
 	s := &Service{
-		cfg:              cfg,
-		solve:            cfg.Solve,
-		backend:          cfg.Backend,
-		pq:               newPQueue(),
-		logger:           cfg.Logger,
-		jobs:             make(map[string]*job),
-		inflight:         make(map[string]*entry),
-		tenants:          make(map[string]*tenantState),
-		queueWaitBuckets: make([]int64, len(QueueWaitBucketsMS)+1),
-	}
-	if cfg.TraceKeep >= 0 {
-		keep := cfg.TraceKeep
-		if keep == 0 {
-			keep = 256
-		}
-		s.recorder = obs.NewRecorder(keep)
+		cfg:      cfg,
+		solve:    cfg.Solve,
+		backend:  cfg.Backend,
+		pq:       newPQueue(),
+		logger:   cfg.Logger,
+		jobs:     make(map[string]*job),
+		inflight: make(map[string]*entry),
+		tenants:  make(map[string]*tenantState),
 	}
 	s.stopCtx, s.stopCancel = context.WithCancel(context.Background())
 	if s.logger == nil {
@@ -663,6 +545,7 @@ func New(cfg Config) *Service {
 	if s.backend == nil {
 		s.backend = NewMemoryBackend(cfg.CacheCapacity)
 	}
+	s.declareMetrics()
 	// Replay the journal before any worker starts: jobs a crash left
 	// queued or running re-enter the queue with their original ids,
 	// submission times, and deadlines, so nothing accepted is ever
@@ -698,7 +581,7 @@ func (s *Service) replayJob(e JournalEntry) {
 		// Replaying it would fail at every restart: retire it instead.
 		s.logger.Warn("journal entry unreadable; retired", "job", e.ID, "err", err)
 		if err := s.journal.Done(e.ID); err != nil {
-			s.storeErrs.Add(1)
+			s.m.storeErrs.Inc()
 		}
 		return
 	}
@@ -729,7 +612,7 @@ func (s *Service) replayJob(e JournalEntry) {
 	s.tenant(tenant).inFlight++
 	s.jobs[j.id] = j
 	s.mu.Unlock()
-	s.replayed.Add(1)
+	s.m.replayed.Inc()
 	if !j.deadlineAt.IsZero() && !time.Now().Before(j.deadlineAt) {
 		j.mu.Lock()
 		j.expired = true
@@ -789,7 +672,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	}
 	admitStart := time.Now()
 	if err := spec.Validate(); err != nil {
-		s.rejectSpec.Add(1)
+		s.m.rejects[ReasonInvalidSpec].Inc()
 		s.logger.Warn("job rejected", "tenant", tenant, "reason", ReasonInvalidSpec, "err", err)
 		return "", err
 	}
@@ -848,7 +731,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	// memory rather than erroring; see DiskJournal).
 	if s.journal != nil {
 		if jerr := s.journal.Record(journalEntryFor(j)); jerr != nil {
-			s.storeErrs.Add(1)
+			s.m.storeErrs.Inc()
 		}
 	}
 	// Trace must be attached before the job is runnable: a worker may pop
@@ -856,7 +739,7 @@ func (s *Service) SubmitTenantTraced(tenant, traceID string, g *graph.Graph, spe
 	s.attachTrace(j, traceID, admitStart)
 	s.pq.push(j)
 	s.mu.Unlock()
-	s.submitted.Add(1)
+	s.m.submitted.Inc()
 	s.logger.Debug("job accepted", "tenant", tenant, "job", j.id,
 		"priority", spec.Priority, "queue_depth", s.pq.len())
 	return j.id, nil
@@ -884,14 +767,7 @@ func (s *Service) attachTrace(j *job, traceID string, admitStart time.Time) {
 
 // reject counts and logs one admission rejection.
 func (s *Service) reject(e *AdmissionError) error {
-	switch e.Reason {
-	case ReasonQueueFull:
-		s.rejectFull.Add(1)
-	case ReasonOverQuota:
-		s.rejectQuota.Add(1)
-	case ReasonDraining:
-		s.rejectDrain.Add(1)
-	}
+	s.m.rejects[e.Reason].Inc()
 	s.logger.Warn("job rejected", "tenant", e.Tenant, "reason", e.Reason,
 		"retry_after", e.RetryAfter)
 	return e
@@ -976,80 +852,6 @@ func (s *Service) Jobs() []JobInfo {
 	return out
 }
 
-// Stats returns the cumulative service counters.
-func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	inflight := len(s.inflight)
-	draining := s.draining
-	tenants := make(map[string]TenantStats, len(s.tenants))
-	for name, ts := range s.tenants {
-		tenants[name] = TenantStats{Accepts: ts.accepts, Rejects: ts.rejects, InFlight: ts.inFlight}
-	}
-	var sbpVariants map[string]SBPVariantStats
-	if s.sbpStats.Runs > 0 {
-		sbpVariants = map[string]SBPVariantStats{sbp.VariantName: s.sbpStats}
-	}
-	hist := Histogram{
-		Count:   s.queueWaitCount,
-		SumMS:   s.queueWaitSumMS,
-		Buckets: make([]HistogramBucket, len(s.queueWaitBuckets)),
-	}
-	for i, n := range s.queueWaitBuckets {
-		le := int64(-1) // +Inf
-		if i < len(QueueWaitBucketsMS) {
-			le = QueueWaitBucketsMS[i]
-		}
-		hist.Buckets[i] = HistogramBucket{LEms: le, Count: n}
-	}
-	s.mu.Unlock()
-	var storeHealth, journalHealth *Health
-	if hr, ok := s.backend.(HealthReporter); ok {
-		h := hr.Health()
-		storeHealth = &h
-	}
-	journalPending := 0
-	if s.journal != nil {
-		h := s.journal.Health()
-		journalHealth = &h
-		journalPending = s.journal.Pending()
-	}
-	return Stats{
-		Submitted:          s.submitted.Load(),
-		Completed:          s.completed.Load(),
-		Failed:             s.failed.Load(),
-		Canceled:           s.canceled.Load(),
-		SolverRuns:         s.solverRuns.Load(),
-		CacheHits:          s.cacheHits.Load(),
-		DedupJoins:         s.dedupJoins.Load(),
-		StoreErrors:        s.storeErrs.Load(),
-		CanonInexact:       s.inexact.Load(),
-		InexactSkips:       s.inexactSkip.Load(),
-		CanonGenerators:    s.canonGens.Load(),
-		CanonOrbitPrunes:   s.canonOrbit.Load(),
-		CanonPrefixPrunes:  s.canonPrefix.Load(),
-		CacheEntries:       s.backend.Len(),
-		InFlight:           inflight,
-		QueueDepth:         s.pq.len(),
-		Running:            int(s.running.Load()),
-		Expired:            s.expired.Load(),
-		RejectsQueueFull:   s.rejectFull.Load(),
-		RejectsOverQuota:   s.rejectQuota.Load(),
-		RejectsInvalidSpec: s.rejectSpec.Load(),
-		RejectsDraining:    s.rejectDrain.Load(),
-		QueueWait:          hist,
-		Tenants:            tenants,
-		SBPVariants:        sbpVariants,
-		Panics:             s.panics.Load(),
-		Replayed:           s.replayed.Load(),
-		Draining:           draining,
-		StoreDegraded: (storeHealth != nil && storeHealth.Degraded) ||
-			(journalHealth != nil && journalHealth.Degraded),
-		StoreHealth:    storeHealth,
-		JournalHealth:  journalHealth,
-		JournalPending: journalPending,
-	}
-}
-
 // Close stops accepting submissions, waits for queued and running jobs to
 // finish, closes the cache backend, and returns. Use CancelAll first for a
 // fast shutdown.
@@ -1070,11 +872,11 @@ func (s *Service) Close() {
 	s.pq.close()
 	s.wg.Wait()
 	if err := s.backend.Close(); err != nil {
-		s.storeErrs.Add(1)
+		s.m.storeErrs.Inc()
 	}
 	if s.journal != nil {
 		if err := s.journal.Close(); err != nil {
-			s.storeErrs.Add(1)
+			s.m.storeErrs.Inc()
 		}
 	}
 }
@@ -1158,7 +960,7 @@ func (s *Service) run(j *job) {
 	j.queueWait = wait
 	j.mu.Unlock()
 	j.queueSpan.End()
-	s.observeQueueWait(wait)
+	s.m.queueWait.Observe(wait)
 	if j.ctx.Err() != nil {
 		s.finish(j, nil, nil)
 		return
@@ -1223,11 +1025,11 @@ func (s *Service) run(j *job) {
 		obs.Bool("exact", canon.Exact),
 	)
 	if !canon.Exact {
-		s.inexact.Add(1)
+		s.m.inexact.Inc()
 	}
-	s.canonGens.Add(int64(len(canon.Generators)))
-	s.canonOrbit.Add(canon.OrbitPrunes)
-	s.canonPrefix.Add(canon.PrefixPrunes)
+	s.m.canonGens.Add(int64(len(canon.Generators)))
+	s.m.canonOrbit.Add(canon.OrbitPrunes)
+	s.m.canonPrefix.Add(canon.PrefixPrunes)
 	key := cacheKey(j.spec, canon)
 
 	s.mu.Lock()
@@ -1248,7 +1050,7 @@ func (s *Service) run(j *job) {
 			return
 		}
 		if res := e.materialize(j.g, canon); res != nil {
-			s.dedupJoins.Add(1)
+			s.m.dedupJoins.Inc()
 			s.finish(j, res, nil)
 			return
 		}
@@ -1268,7 +1070,7 @@ func (s *Service) run(j *job) {
 		if res := materializeRecord(rec, j.g, canon); res != nil {
 			e.publishRecord(rec)
 			s.unregister(key)
-			s.cacheHits.Add(1)
+			s.m.cacheHits.Inc()
 			s.finish(j, res, nil)
 			return
 		}
@@ -1307,7 +1109,7 @@ func (s *Service) run(j *job) {
 // order-dependent, never produced again, so persisting it is skipped.
 func (s *Service) persist(j *job, key string, canon *autom.Canonical, rec CacheRecord) {
 	if !canon.Exact {
-		s.inexactSkip.Add(1)
+		s.m.inexactSkip.Inc()
 		return
 	}
 	j.setPhase("persist")
@@ -1315,7 +1117,7 @@ func (s *Service) persist(j *job, key string, canon *autom.Canonical, rec CacheR
 	err := s.backend.Put(key, rec)
 	span.End(obs.Bool("cache_write", err == nil))
 	if err != nil {
-		s.storeErrs.Add(1)
+		s.m.storeErrs.Inc()
 	}
 }
 
@@ -1353,7 +1155,7 @@ func (s *Service) runSolverOutcome(ctx context.Context, j *job, sym []autom.Perm
 	defer func() {
 		if r := recover(); r != nil {
 			stack := string(debug.Stack())
-			s.panics.Add(1)
+			s.m.panics.Inc()
 			s.logger.Error("solver panic isolated", "job", j.id, "tenant", j.tenant,
 				"instance", j.g.Name(), "panic", fmt.Sprint(r), "stack", stack)
 			err = &PanicError{Value: fmt.Sprint(r), Stack: stack}
@@ -1377,23 +1179,9 @@ func (s *Service) runSolverOutcome(ctx context.Context, j *job, sym []autom.Perm
 		func(ctx context.Context) {
 			out = s.solve(ctx, j.g, j.spec, sym, progress)
 		})
-	s.solverRuns.Add(1)
+	s.m.solverRuns.Inc()
 	s.noteSBP(out)
 	return out, nil
-}
-
-// noteSBP folds one outcome's symmetry-breaking work into the
-// aggregates. Outcomes whose predicate layer never ran (Sym nil)
-// contribute nothing.
-func (s *Service) noteSBP(out core.Outcome) {
-	if out.Sym == nil {
-		return
-	}
-	s.mu.Lock()
-	s.sbpStats.Runs++
-	s.sbpStats.Perms += int64(out.Sym.PredicatePerms)
-	s.sbpStats.Clauses += int64(out.Sym.AddedCNF)
-	s.mu.Unlock()
 }
 
 // Progress returns the job's latest progress snapshot. A Seq of 0 means
@@ -1502,17 +1290,6 @@ func (s *Service) RecentTraces(n int) []*obs.TraceView {
 	return s.recorder.Recent(n)
 }
 
-// PhaseStats snapshots the per-phase latency histograms aggregated over
-// every recorded trace (nil when tracing is disabled), keyed by span name.
-func (s *Service) PhaseStats() map[string]obs.Histogram {
-	return s.recorder.Phases()
-}
-
-// TraceStats returns the flight recorder's own counters.
-func (s *Service) TraceStats() obs.RecorderStats {
-	return s.recorder.Stats()
-}
-
 // finish moves a job to its terminal state. A nil result means the job
 // was cancelled (or, with j.expired set, its deadline elapsed in queue).
 func (s *Service) finish(j *job, res *Result, err error) {
@@ -1521,21 +1298,21 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	case err != nil:
 		j.state = StateFailed
 		j.err = err
-		s.failed.Add(1)
+		s.m.failed.Inc()
 	case res == nil && j.expired && !j.canceled:
 		j.state = StateExpired
 		j.err = context.DeadlineExceeded
-		s.expired.Add(1)
+		s.m.expired.Inc()
 	case res == nil || j.canceled:
 		j.state = StateCanceled
 		if res != nil {
 			j.result = res
 		}
-		s.canceled.Add(1)
+		s.m.canceled.Inc()
 	default:
 		j.state = StateDone
 		j.result = res
-		s.completed.Add(1)
+		s.m.completed.Inc()
 	}
 	state := j.state
 	queueWait := j.queueWait
@@ -1581,7 +1358,7 @@ func (s *Service) finish(j *job, res *Result, err error) {
 		err := s.journal.Done(j.id)
 		persist.End(obs.Bool("journal_retire", err == nil))
 		if err != nil {
-			s.storeErrs.Add(1)
+			s.m.storeErrs.Inc()
 		}
 	}
 

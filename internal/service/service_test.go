@@ -148,9 +148,9 @@ func TestIsomorphicDedup(t *testing.T) {
 	if hits != N-1 {
 		t.Fatalf("%d cache hits, want %d", hits, N-1)
 	}
-	st := svc.Stats()
-	if st.SolverRuns != 1 || st.CacheHits+st.DedupJoins != N-1 || st.Completed != N {
-		t.Fatalf("stats: %+v", st)
+	st := svc.Metrics().Snapshot()
+	if st.Int("solver_runs") != 1 || st.Int("cache_hits")+st.Int("dedup_joins") != N-1 || st.Int("completed") != N {
+		t.Fatalf("%d solver runs, %d cache hits, %d dedup joins, %d completed", st.Int("solver_runs"), st.Int("cache_hits"), st.Int("dedup_joins"), st.Int("completed"))
 	}
 }
 

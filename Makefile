@@ -17,6 +17,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSATSolve$$' -fuzztime $(FUZZTIME) ./internal/pbsolver
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalForm$$' -fuzztime $(FUZZTIME) ./internal/autom
+	$(GO) test -run '^$$' -fuzz '^FuzzRefine$$' -fuzztime $(FUZZTIME) ./internal/autom
 	$(GO) test -run '^$$' -fuzz '^FuzzSBPVariant$$' -fuzztime $(FUZZTIME) ./internal/sbp
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyLitPerm$$' -fuzztime $(FUZZTIME) ./internal/symgraph

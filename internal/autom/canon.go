@@ -160,11 +160,7 @@ func CanonicalForm(g *Graph, opts CanonicalOptions) *Canonical {
 		c.maxNodes = 200000
 	}
 	p := newPartition(g.colors)
-	work := []int{}
-	for i := 0; i < n; i += p.clen[i] {
-		work = append(work, i)
-	}
-	refineRecord(g, p, work, c.rf, nil, c.pollCancel)
+	refineRoot(g, p, c.rf, c.pollCancel)
 	c.explore(p, 0, 0, 0)
 	if c.bestLab == nil {
 		// The context died before the first leaf completed: fall back to
@@ -245,9 +241,8 @@ func (c *canonizer) explore(p *partition, depth, fixed, cmp int) {
 		}
 		cp := &lv.child
 		p.copyInto(cp)
-		cp.individualize(u)
 		c.nodes++
-		refineRecord(c.g, cp, []int{t, t + 1}, c.rf, nil, c.pollCancel)
+		refineIndividualized(c.g, cp, u, c.rf, nil, c.pollCancel)
 		if c.aborted {
 			return
 		}

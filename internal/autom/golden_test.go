@@ -10,6 +10,7 @@ import (
 	"repro/internal/encode"
 	"repro/internal/graph"
 	"repro/internal/symgraph"
+	"repro/internal/testutil"
 )
 
 // The golden hashes below pin every output of both searches on real
@@ -44,17 +45,37 @@ func benchGraph(t *testing.T, name string) *graph.Graph {
 	return g
 }
 
-// plantedGraphs are one graph of each planted-χ family at the sizes the
-// end-to-end benchmark's solve and shatter workloads submit.
-func plantedGraphs() []*graph.Graph {
-	iv, _ := graph.IntervalInterference("interval", 40, 6, 4)
-	return []*graph.Graph{
-		graph.PartiteScenes("scenes", 40, 130, 6, 1),
-		graph.PartiteGeometric("geometric", 50, 130, 6, 2),
-		graph.PartitePlanted("planted", 50, 160, 6, 3),
-		iv,
-	}
+// symmetryGraph is one row of the automorphism tables: the colored
+// symmetry graph of a K=20 encoding.
+type symmetryGraph struct {
+	name string
+	g    *autom.Graph
 }
+
+// symmetryGraphs builds the symmetry graphs of the named Table-1 graphs
+// and of the planted graphs the end-to-end benchmark's solve and shatter
+// workloads submit, at K=20 under no SBP and under NU+SC.
+func symmetryGraphs(t *testing.T, names ...string) []symmetryGraph {
+	t.Helper()
+	var graphs []*graph.Graph
+	for _, name := range names {
+		graphs = append(graphs, benchGraph(t, name))
+	}
+	graphs = append(graphs, testutil.PlantedGraphs()...)
+	var out []symmetryGraph
+	for _, g := range graphs {
+		for _, kind := range []encode.SBPKind{encode.SBPNone, encode.SBPNUSC} {
+			out = append(out, symmetryGraph{
+				name: fmt.Sprintf("%s/K=20/%v", g.Name(), kind),
+				g:    symgraph.Build(encode.Build(g, 20, kind).F).G,
+			})
+		}
+	}
+	return out
+}
+
+// goldenNames are the Table-1 graphs of the automorphism tables.
+var goldenNames = []string{"myciel3", "myciel4", "myciel5", "queen5_5", "jean", "anna"}
 
 var goldenAutomorphisms = map[string]string{
 	"myciel3/K=20/none":    "c5a274d6aed67dd7",
@@ -80,19 +101,58 @@ var goldenAutomorphisms = map[string]string{
 }
 
 func TestFindAutomorphismsGolden(t *testing.T) {
-	var graphs []*graph.Graph
-	for _, name := range []string{"myciel3", "myciel4", "myciel5", "queen5_5", "jean", "anna"} {
-		graphs = append(graphs, benchGraph(t, name))
+	for _, r := range symmetryGraphs(t, goldenNames...) {
+		got := hashAutomorphisms(autom.FindAutomorphisms(r.g, autom.Options{}))
+		if want := goldenAutomorphisms[r.name]; got != want {
+			t.Errorf("%s: hash %s, want %s\n\t%q: %q,", r.name, got, want, r.name, got)
+		}
 	}
-	graphs = append(graphs, plantedGraphs()...)
-	for _, g := range graphs {
-		for _, kind := range []encode.SBPKind{encode.SBPNone, encode.SBPNUSC} {
-			name := fmt.Sprintf("%s/K=20/%v", g.Name(), kind)
-			enc := symgraph.Build(encode.Build(g, 20, kind).F)
-			got := hashAutomorphisms(autom.FindAutomorphisms(enc.G, autom.Options{}))
-			if want := goldenAutomorphisms[name]; got != want {
-				t.Errorf("%s: hash %s, want %s\n\t%q: %q,", name, got, want, name, got)
-			}
+}
+
+// groupOrders pins the group order of every TestFindAutomorphismsGolden
+// row, and that each search is exact. Unlike the hashes above it holds
+// across any change of split order, candidate order or generating set:
+// such a change must not alter the group a search finds, so this table is
+// never regenerated.
+var groupOrders = map[string]string{
+	"myciel3/K=20/none":    "24329020081766400000",
+	"myciel3/K=20/NU+SC":   "2",
+	"myciel4/K=20/none":    "24329020081766400000",
+	"myciel4/K=20/NU+SC":   "10",
+	"myciel5/K=20/none":    "24329020081766400000",
+	"myciel5/K=20/NU+SC":   "10",
+	"queen5_5/K=20/none":   "19463216065413120000",
+	"queen5_5/K=20/NU+SC":  "2",
+	"jean/K=20/none":       "112108124536779571200000",
+	"jean/K=20/NU+SC":      "46080",
+	"anna/K=20/none":       "969582810193773270663168000000",
+	"anna/K=20/NU+SC":      "398529331200",
+	"scenes/K=20/none":     "14597412049059840000",
+	"scenes/K=20/NU+SC":    "6",
+	"geometric/K=20/none":  "116779296392478720000",
+	"geometric/K=20/NU+SC": "48",
+	"planted/K=20/none":    "2432902008176640000",
+	"planted/K=20/NU+SC":   "1",
+	"interval/K=20/none":   "9731608032706560000",
+	"interval/K=20/NU+SC":  "4",
+}
+
+func TestFindAutomorphismsGroupOrder(t *testing.T) {
+	for _, r := range symmetryGraphs(t, goldenNames...) {
+		res := autom.FindAutomorphisms(r.g, autom.Options{})
+		if got, want := res.Order.String(), groupOrders[r.name]; got != want || !res.Exact {
+			t.Errorf("%s: order %s (exact %t), want %s (exact)\n\t%q: %q,", r.name, got, res.Exact, want, r.name, got)
+		}
+	}
+}
+
+// TestRefineMatchesReferenceSymmetryGraphs runs autom's refinement check
+// (the reference cells, as sets, and equitability, at the root and after
+// one individualization) on the symmetry graphs of formulas.
+func TestRefineMatchesReferenceSymmetryGraphs(t *testing.T) {
+	for _, r := range symmetryGraphs(t, "myciel3", "myciel4", "queen5_5") {
+		if err := autom.CheckRefinement(r.g); err != nil {
+			t.Errorf("%s: %v", r.name, err)
 		}
 	}
 }

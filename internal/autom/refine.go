@@ -146,6 +146,25 @@ func newRefiner(n int) *refiner {
 	return &refiner{cnt: make([]int, n), seen: make([]bool, n)}
 }
 
+// refineRoot refines p, the partition by vertex colors, to its coarsest
+// equitable refinement, with every cell as a splitter.
+func refineRoot(g *Graph, p *partition, rf *refiner, stop func() bool) {
+	work := []int{}
+	for i := 0; i < p.n(); i += p.clen[i] {
+		work = append(work, i)
+	}
+	refineRecord(g, p, work, rf, nil, stop)
+}
+
+// refineIndividualized individualizes v in the equitable partition p and
+// refines the result to its coarsest equitable refinement, recording the
+// transcript into tr unless tr is nil.
+func refineIndividualized(g *Graph, p *partition, v int, rf *refiner, tr *trace, stop func() bool) {
+	t := p.cbeg[p.pos[v]]
+	p.individualize(v)
+	refineRecord(g, p, []int{t, t + 1}, rf, tr, stop)
+}
+
 // refineRecord runs equitable refinement to fixpoint starting from the
 // given worklist of cell starts, recording the transcript into tr unless
 // tr is nil. stop, when non-nil, is polled once per worklist iteration so

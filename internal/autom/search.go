@@ -92,11 +92,7 @@ func FindAutomorphisms(g *Graph, opts Options) *Result {
 	// Canonical (left) path: repeatedly individualize the first vertex of
 	// the first non-singleton cell and refine, recording transcripts.
 	p := newPartition(g.colors)
-	work := []int{}
-	for i := 0; i < n; i += p.clen[i] {
-		work = append(work, i)
-	}
-	refineRecord(g, p, work, s.rf, nil, s.pollCancel)
+	refineRoot(g, p, s.rf, s.pollCancel)
 	for {
 		t := p.firstNonSingleton()
 		if t < 0 || s.budgetExceeded() {
@@ -104,10 +100,9 @@ func FindAutomorphisms(g *Graph, opts Options) *Result {
 		}
 		snap := p.copy()
 		b := p.elems[t]
-		p.individualize(b)
 		s.nodes++
 		tr := &trace{}
-		refineRecord(g, p, []int{t, t + 1}, s.rf, tr, s.pollCancel)
+		refineIndividualized(g, p, b, s.rf, tr, s.pollCancel)
 		s.levels = append(s.levels, level{snapshot: snap, target: t, base: b, tr: tr})
 	}
 	s.leafLeft = append([]int(nil), p.elems...)

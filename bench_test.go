@@ -563,6 +563,40 @@ func BenchmarkSymmetryDetection(b *testing.B) {
 	}
 }
 
+// BenchmarkSBP times a shatter job's sbp phase, core.InstanceSymmetries:
+// symmetry detection on the formula, the lift of canon's generators and
+// the lex-leader predicates, on fresh K=20 NU+SC encodings of the four
+// planted graphs e2ebench's shatter workload draws from (one op handles
+// all four; encoding runs outside the timer). nodes/op (the automorphism
+// search's tree), generators/op and sbp-clauses/op are deterministic
+// counters.
+func BenchmarkSBP(b *testing.B) {
+	graphs := testutil.PlantedGraphs()
+	gens := make([][]autom.Perm, len(graphs))
+	for i, g := range graphs {
+		gens[i] = autom.CanonicalForm(autom.FromAdjacency(g.Adjacency()), autom.CanonicalOptions{}).Generators
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var nodes int64
+	var generators, clauses int
+	for i := 0; i < b.N; i++ {
+		nodes, generators, clauses = 0, 0, 0
+		for j, g := range graphs {
+			b.StopTimer()
+			enc := encode.Build(g, 20, encode.SBPNUSC)
+			b.StartTimer()
+			st := core.InstanceSymmetries(context.Background(), enc, core.Config{GraphGens: gens[j]})
+			nodes += st.Nodes
+			generators += st.Generators
+			clauses += st.AddedCNF
+		}
+	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+	b.ReportMetric(float64(generators), "generators/op")
+	b.ReportMetric(float64(clauses), "sbp-clauses/op")
+}
+
 // BenchmarkVerifyLitPerm times one symmetry check of a formula, the way
 // core lifts the canonical search's graph automorphisms: each op verifies
 // the next lifted generator x(v,j) -> x(π(v),j) against the K=20

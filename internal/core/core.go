@@ -100,8 +100,9 @@ type SymmetryStats struct {
 	Generators int      // generators found
 	Exact      bool
 	DetectTime time.Duration
-	AddedVars  int // variables added by lex-leader SBPs
-	AddedCNF   int // clauses added by lex-leader SBPs
+	Nodes      int64 // individualization steps of the automorphism search
+	AddedVars  int   // variables added by lex-leader SBPs
+	AddedCNF   int   // clauses added by lex-leader SBPs
 	// FromGraph counts generators contributed by Config.GraphGens (the
 	// canonical search's discoveries) that survived verification and were
 	// not already found by formula-level detection.
@@ -166,7 +167,7 @@ func Solve(ctx context.Context, g *graph.Graph, cfg Config) Outcome {
 	// every trace has the same phase skeleton.
 	sbpCtx, sbpSpan := obs.StartSpan(ctx, "sbp", obs.String("variant", sbp.VariantName))
 	if cfg.InstanceDependent {
-		out.Sym = breakSymmetries(sbpCtx, enc, cfg)
+		out.Sym = InstanceSymmetries(sbpCtx, enc, cfg)
 	}
 	if out.Sym != nil {
 		sbpSpan.End(
@@ -231,10 +232,13 @@ func EffectiveK(g *graph.Graph, k int) int {
 	return maxDeg + 1
 }
 
-// breakSymmetries appends lex-leader predicates for the detected
-// symmetries of the formula, merged with any caller-supplied graph
-// automorphisms that survive verification, and returns the statistics.
-func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *SymmetryStats {
+// InstanceSymmetries is the flow's symmetry step, the sbp phase Solve
+// runs when cfg.InstanceDependent is set: it detects the symmetries of
+// enc's formula, merges the lifts of cfg.GraphGens that survive
+// verification, appends lex-leader predicates for them to enc.F and
+// returns the statistics. Of cfg it reads only SymMaxNodes, SymTimeout
+// and GraphGens.
+func InstanceSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *SymmetryStats {
 	aOpts := autom.Options{MaxNodes: cfg.SymMaxNodes, Context: ctx}
 	if cfg.SymTimeout > 0 {
 		aOpts.Deadline = time.Now().Add(cfg.SymTimeout)
@@ -263,6 +267,7 @@ func breakSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *Sym
 		Generators:     len(perms),
 		Exact:          res.Exact,
 		DetectTime:     res.Time,
+		Nodes:          res.Nodes,
 		FromGraph:      fromGraph,
 		PredicatePerms: st.Generators,
 		AddedVars:      st.AddedVars,
@@ -305,6 +310,7 @@ func DetectSymmetries(g *graph.Graph, K int, kind encode.SBPKind, maxNodes int64
 		Generators: len(perms),
 		Exact:      res.Exact,
 		DetectTime: res.Time,
+		Nodes:      res.Nodes,
 	}, enc.F.Stats()
 }
 

@@ -86,18 +86,18 @@ var goldenAutomorphisms = map[string]string{
 	"myciel5/K=20/NU+SC":   "00c71b0388398a05",
 	"queen5_5/K=20/none":   "6145c094e63552e3",
 	"queen5_5/K=20/NU+SC":  "df668417c81b079b",
-	"jean/K=20/none":       "0823b72b344ceeb9",
-	"jean/K=20/NU+SC":      "0b39c71648c8822b",
-	"anna/K=20/none":       "329afa419969a5b7",
-	"anna/K=20/NU+SC":      "918dac7893cf52c3",
+	"jean/K=20/none":       "09b711b6b11bb738",
+	"jean/K=20/NU+SC":      "08b30beedb0fe430",
+	"anna/K=20/none":       "6ca1ad75b0d6ff53",
+	"anna/K=20/NU+SC":      "9e93acaaccf9bcc9",
 	"scenes/K=20/none":     "fdaa56c5c4086d14",
 	"scenes/K=20/NU+SC":    "64a0817e67a9062c",
-	"geometric/K=20/none":  "2ce1329723482ea0",
-	"geometric/K=20/NU+SC": "aa56cbd06d95e645",
+	"geometric/K=20/none":  "7a6bbbbc153cc0e1",
+	"geometric/K=20/NU+SC": "e3cfc81b1c326e63",
 	"planted/K=20/none":    "799caaac2579e004",
 	"planted/K=20/NU+SC":   "9ef3daadd3f6a860",
 	"interval/K=20/none":   "3a00f929c5675c0e",
-	"interval/K=20/NU+SC":  "97448f5af5d6f02a",
+	"interval/K=20/NU+SC":  "0c2a6ac55939cb91",
 }
 
 func TestFindAutomorphismsGolden(t *testing.T) {
@@ -158,17 +158,17 @@ func TestRefineMatchesReferenceSymmetryGraphs(t *testing.T) {
 }
 
 var goldenCanonical = map[string]string{
-	"DSJC125.1": "a563f0287b226086",
-	"games120":  "b01dc853436f5204",
-	"jean":      "d7be4663b249bfd5",
-	"miles250":  "ba2e0bb80860e2c2",
-	"myciel3":   "0d42f62e5186faed",
-	"myciel4":   "b133928d1d04b426",
-	"queen5_5":  "99ef2081882db090",
-	"queen6_6":  "aff0bf75d3a36346",
-	"queen7_7":  "328a1902944cce54",
-	"C100":      "6397005cff2aa6fa",
-	"K12_12":    "455ef94f3c7c6a78",
+	"DSJC125.1": "aede793c37c184b6",
+	"games120":  "e17bf406e026e228",
+	"jean":      "b086e60908753547",
+	"miles250":  "d3a471f834c0a4c2",
+	"myciel3":   "0233f2bef4cabd2b",
+	"myciel4":   "e957e9c15b4ad89a",
+	"queen5_5":  "65ea6b38c4d866a8",
+	"queen6_6":  "9c7faeb53f1b008e",
+	"queen7_7":  "59a0b607fb353fe7",
+	"C100":      "448bc7c7120721e1",
+	"K12_12":    "2a8db078320aa87b",
 }
 
 func TestCanonicalFormGolden(t *testing.T) {

@@ -135,50 +135,66 @@ type cellSplit struct{ start, size, end int }
 // refiner holds refinement's buffers, sized to the graph and reused by
 // every refinement of one search.
 type refiner struct {
-	cnt   []int       // per vertex: neighbours in the current splitter; zero between splitters
-	seen  []bool      // per position: the cell starting there is in cells
-	cells []int       // starts of the cells the current splitter touches
-	rest  []int       // members with a nonzero count of the cell being split
-	parts []splitPart // groups of the cell just split
+	cnt     []int       // per vertex: neighbours in the current splitter; zero between splitters
+	seen    []bool      // per position: the cell starting there is in cells
+	pending []bool      // per position: the cell starting there is on work
+	work    []int       // the worklist: starts of the cells still to split with
+	cells   []int       // starts of the cells the current splitter touches
+	rest    []int       // members with a nonzero count of the cell being split
+	parts   []splitPart // groups of the cell just split
 }
 
 func newRefiner(n int) *refiner {
-	return &refiner{cnt: make([]int, n), seen: make([]bool, n)}
+	return &refiner{cnt: make([]int, n), seen: make([]bool, n), pending: make([]bool, n)}
+}
+
+// push puts the cell starting at s on the worklist.
+func (rf *refiner) push(s int) {
+	rf.pending[s] = true
+	rf.work = append(rf.work, s)
 }
 
 // refineRoot refines p, the partition by vertex colors, to its coarsest
 // equitable refinement, with every cell as a splitter.
 func refineRoot(g *Graph, p *partition, rf *refiner, stop func() bool) {
-	work := []int{}
 	for i := 0; i < p.n(); i += p.clen[i] {
-		work = append(work, i)
+		rf.push(i)
 	}
-	refineRecord(g, p, work, rf, nil, stop)
+	refineRecord(g, p, rf, nil, stop)
 }
 
 // refineIndividualized individualizes v in the equitable partition p and
 // refines the result to its coarsest equitable refinement, recording the
-// transcript into tr unless tr is nil.
+// transcript into tr unless tr is nil. Only the new singleton starts on
+// the worklist: p was equitable, so the counts into the rest of v's cell
+// follow from those into the singleton and into the whole cell.
 func refineIndividualized(g *Graph, p *partition, v int, rf *refiner, tr *trace, stop func() bool) {
 	t := p.cbeg[p.pos[v]]
 	p.individualize(v)
-	refineRecord(g, p, []int{t, t + 1}, rf, tr, stop)
+	rf.push(t)
+	refineRecord(g, p, rf, tr, stop)
 }
 
-// refineRecord runs equitable refinement to fixpoint starting from the
-// given worklist of cell starts, recording the transcript into tr unless
-// tr is nil. stop, when non-nil, is polled once per worklist iteration so
-// a cancelled search aborts mid-refinement instead of waiting for the
-// fixpoint; on stop the transcript is truncated and the caller must
-// discard the partition.
-func refineRecord(g *Graph, p *partition, work []int, rf *refiner, tr *trace, stop func() bool) {
+// refineRecord runs equitable refinement to fixpoint from the cells on
+// rf's worklist, recording the transcript into tr unless tr is nil. A
+// split cell's parts join the worklist by Hopcroft's rule (pushParts),
+// which bounds a refinement by O(m log n). stop, when non-nil, is polled
+// once per worklist iteration so a cancelled search aborts mid-refinement
+// instead of waiting for the fixpoint; on stop the transcript is
+// truncated and the caller must discard the partition.
+func refineRecord(g *Graph, p *partition, rf *refiner, tr *trace, stop func() bool) {
 	cnt := rf.cnt
-	for len(work) > 0 {
+	for len(rf.work) > 0 {
 		if stop != nil && stop() {
+			for _, s := range rf.work {
+				rf.pending[s] = false
+			}
+			rf.work = rf.work[:0]
 			return
 		}
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
+		s := rf.work[len(rf.work)-1]
+		rf.work = rf.work[:len(rf.work)-1]
+		rf.pending[s] = false
 		// Splits keep sub-cell starts at or after the original start and
 		// only starts are pushed, so s is always a cell start. Guard anyway.
 		if p.cbeg[s] != s {
@@ -209,17 +225,40 @@ func refineRecord(g *Graph, p *partition, work []int, rf *refiner, tr *trace, st
 				tr.cells = append(tr.cells, cellSplit{start: cs, size: size, end: len(tr.parts)})
 			}
 			if len(rf.parts) > 1 {
-				ns := cs
-				for _, pt := range rf.parts {
-					work = append(work, ns)
-					ns += pt.size
-				}
+				rf.pushParts(cs)
 			}
 		}
 		rf.resetCounts(g, p, s, send)
 		if tr != nil {
 			tr.ops = append(tr.ops, splitOp{splitter: s, end: len(tr.cells)})
 		}
+	}
+}
+
+// pushParts puts the parts of the cell just split at cs on the worklist
+// by Hopcroft's "all but the largest" rule (McKay and Piperno, "Practical
+// graph isomorphism, II", 2014). If the cell was pending, its first part
+// keeps the start and stays pending, and every other part joins it.
+// Otherwise the partition is already equitable with respect to the whole
+// cell, so the counts into its first largest part follow from those into
+// the other parts, which are pushed.
+func (rf *refiner) pushParts(cs int) {
+	skip := cs
+	if !rf.pending[cs] {
+		largest, ns := 0, cs
+		for _, pt := range rf.parts {
+			if pt.size > largest {
+				largest, skip = pt.size, ns
+			}
+			ns += pt.size
+		}
+	}
+	ns := cs
+	for _, pt := range rf.parts {
+		if ns != skip {
+			rf.push(ns)
+		}
+		ns += pt.size
 	}
 }
 

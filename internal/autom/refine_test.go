@@ -105,8 +105,11 @@ func sameCells(g *Graph, p, q *partition, rf *refiner) error {
 	if a, b := p.cellIDs(), q.cellIDs(); !slices.Equal(a, b) {
 		return fmt.Errorf("cells %v, reference %v", p.cells(), q.cells())
 	}
+	if len(rf.work) != 0 {
+		return fmt.Errorf("worklist not empty: %v", rf.work)
+	}
 	for v := range rf.cnt {
-		if rf.cnt[v] != 0 || rf.seen[v] {
+		if rf.cnt[v] != 0 || rf.seen[v] || rf.pending[v] {
 			return fmt.Errorf("refiner scratch not reset at %d", v)
 		}
 	}

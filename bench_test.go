@@ -726,32 +726,76 @@ func BenchmarkServiceIsomorphicBatch(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead pins the cost of per-job phase tracing: the same
-// real solve (myciel4 at K=8, ~tens of ms of search) through the service
-// with the flight recorder on (the default) and off. The sub-benchmark
-// ratio is the overhead budget — tracing must stay within 2% of the
-// untraced path, since it is on by default in production. The absolute
-// cost is a few dozen spans' worth of bookkeeping per job (~tens of µs),
-// so on realistic solves it vanishes into the solver's noise floor.
+// jobs through a service with the flight recorder on (traced, the
+// default) and off (untraced). Tracing is on in production, so each
+// shape's traced/untraced ratio must stay within 2%. Each arm builds its
+// service and its inputs before the timer, and an op is one job from
+// submit to result, in two shapes:
+//   - hit: a relabelled copy of a hits pool graph the service has
+//     already solved, the hits workload's job (canon and a cache read);
+//   - solve: a planted graph the service has not seen, under the same
+//     spec (canon, encode, search and persist), a new graph each op.
 func BenchmarkTraceOverhead(b *testing.B) {
-	base, _ := graph.Benchmark("myciel4")
-	runJob := func(b *testing.B, traceKeep int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			svc := service.New(service.Config{DefaultTimeout: time.Minute, TraceKeep: traceKeep})
-			id, err := svc.Submit(base, service.JobSpec{K: 8, SBP: encode.SBPNU})
-			if err != nil {
-				b.Fatal(err)
-			}
-			info, err := svc.Wait(context.Background(), id)
-			if err != nil || info.Result == nil || info.Result.Chi != 5 {
-				b.Fatalf("info=%+v err=%v", info, err)
-			}
-			if (traceKeep >= 0) != svc.TracingEnabled() {
-				b.Fatalf("TracingEnabled()=%v with TraceKeep=%d", svc.TracingEnabled(), traceKeep)
-			}
-			svc.Close()
+	reqs := hitsRequests(b)
+	spec, err := reqs[0].Spec()
+	if err != nil {
+		b.Fatal(err)
+	}
+	arms := []struct {
+		name string
+		keep int
+	}{{"traced", 0}, {"untraced", -1}}
+	runJob := func(b *testing.B, svc *service.Service, g *graph.Graph, hit bool) {
+		id, err := svc.Submit(g, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, err := svc.Wait(context.Background(), id)
+		if err != nil || info.Result == nil || !info.Result.Solved || info.Result.CacheHit != hit {
+			b.Fatalf("%s: info=%+v err=%v, want a solved job with cache_hit %t", g.Name(), info, err, hit)
 		}
 	}
-	b.Run("traced", func(b *testing.B) { runJob(b, 0) })
-	b.Run("untraced", func(b *testing.B) { runJob(b, -1) })
+	newService := func(b *testing.B, keep int) *service.Service {
+		svc := service.New(service.Config{DefaultTimeout: time.Minute, TraceKeep: keep})
+		b.Cleanup(svc.Close)
+		if (keep >= 0) != svc.TracingEnabled() {
+			b.Fatalf("TracingEnabled()=%v with TraceKeep=%d", svc.TracingEnabled(), keep)
+		}
+		return svc
+	}
+	for _, arm := range arms {
+		b.Run("hit/"+arm.name, func(b *testing.B) {
+			svc := newService(b, arm.keep)
+			copies := make([]*graph.Graph, len(reqs))
+			for i, req := range reqs {
+				g, err := graph.Benchmark(req.Name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runJob(b, svc, g, false)
+				if copies[i], err = req.Graph(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runJob(b, svc, copies[i%len(copies)], true)
+			}
+		})
+	}
+	for _, arm := range arms {
+		b.Run("solve/"+arm.name, func(b *testing.B) {
+			svc := newService(b, arm.keep)
+			graphs := make([]*graph.Graph, b.N)
+			for i := range graphs {
+				graphs[i] = graph.PartitePlanted("planted", 50, 160, 6, int64(i+1))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, g := range graphs {
+				runJob(b, svc, g, false)
+			}
+		})
+	}
 }

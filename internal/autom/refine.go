@@ -164,10 +164,8 @@ func refineRoot(g *Graph, p *partition, rf *refiner, stop func() bool) {
 }
 
 // refineIndividualized individualizes v in the equitable partition p and
-// refines the result to its coarsest equitable refinement, recording the
-// transcript into tr unless tr is nil. Only the new singleton starts on
-// the worklist: p was equitable, so the counts into the rest of v's cell
-// follow from those into the singleton and into the whole cell.
+// refines, recording into tr unless tr is nil. It pushes only the new
+// singleton, since p was equitable with respect to v's whole cell.
 func refineIndividualized(g *Graph, p *partition, v int, rf *refiner, tr *trace, stop func() bool) {
 	t := p.cbeg[p.pos[v]]
 	p.individualize(v)
@@ -176,10 +174,9 @@ func refineIndividualized(g *Graph, p *partition, v int, rf *refiner, tr *trace,
 }
 
 // refineRecord runs equitable refinement to fixpoint from the cells on
-// rf's worklist, recording the transcript into tr unless tr is nil. A
-// split cell's parts join the worklist by Hopcroft's rule (pushParts),
-// which bounds a refinement by O(m log n). stop, when non-nil, is polled
-// once per worklist iteration so a cancelled search aborts mid-refinement
+// rf's worklist, recording the transcript into tr unless tr is nil.
+// pushParts bounds it by O(m log n). stop, when non-nil, is polled once
+// per worklist iteration so a cancelled search aborts mid-refinement
 // instead of waiting for the fixpoint; on stop the transcript is
 // truncated and the caller must discard the partition.
 func refineRecord(g *Graph, p *partition, rf *refiner, tr *trace, stop func() bool) {
@@ -194,12 +191,7 @@ func refineRecord(g *Graph, p *partition, rf *refiner, tr *trace, stop func() bo
 		}
 		s := rf.work[len(rf.work)-1]
 		rf.work = rf.work[:len(rf.work)-1]
-		rf.pending[s] = false
-		// Splits keep sub-cell starts at or after the original start and
-		// only starts are pushed, so s is always a cell start. Guard anyway.
-		if p.cbeg[s] != s {
-			continue
-		}
+		rf.pending[s] = false // splits keep their first part's start, so s is a cell start
 		rf.cells = rf.cells[:0]
 		send := s + p.clen[s]
 		for i := s; i < send; i++ {
@@ -235,30 +227,22 @@ func refineRecord(g *Graph, p *partition, rf *refiner, tr *trace, stop func() bo
 	}
 }
 
-// pushParts puts the parts of the cell just split at cs on the worklist
-// by Hopcroft's "all but the largest" rule (McKay and Piperno, "Practical
-// graph isomorphism, II", 2014). If the cell was pending, its first part
-// keeps the start and stays pending, and every other part joins it.
-// Otherwise the partition is already equitable with respect to the whole
-// cell, so the counts into its first largest part follow from those into
-// the other parts, which are pushed.
+// pushParts pushes the parts of the cell just split at cs by Hopcroft's
+// rule (McKay and Piperno, "Practical graph isomorphism, II", 2014): all
+// but the first part of a pending cell, whose start stays pending, and
+// otherwise all but the first largest part, whose counts follow from the
+// others' because the partition is equitable with respect to the cell.
 func (rf *refiner) pushParts(cs int) {
-	skip := cs
-	if !rf.pending[cs] {
-		largest, ns := 0, cs
-		for _, pt := range rf.parts {
-			if pt.size > largest {
-				largest, skip = pt.size, ns
-			}
-			ns += pt.size
+	skip, largest := cs, 0
+	for i, ns := 0, cs; !rf.pending[cs] && i < len(rf.parts); ns, i = ns+rf.parts[i].size, i+1 {
+		if rf.parts[i].size > largest {
+			skip, largest = ns, rf.parts[i].size
 		}
 	}
-	ns := cs
-	for _, pt := range rf.parts {
+	for i, ns := 0, cs; i < len(rf.parts); ns, i = ns+rf.parts[i].size, i+1 {
 		if ns != skip {
 			rf.push(ns)
 		}
-		ns += pt.size
 	}
 }
 

@@ -232,12 +232,11 @@ func EffectiveK(g *graph.Graph, k int) int {
 	return maxDeg + 1
 }
 
-// InstanceSymmetries is the flow's symmetry step, the sbp phase Solve
-// runs when cfg.InstanceDependent is set: it detects the symmetries of
-// enc's formula, merges the lifts of cfg.GraphGens that survive
-// verification, appends lex-leader predicates for them to enc.F and
-// returns the statistics. Of cfg it reads only SymMaxNodes, SymTimeout
-// and GraphGens.
+// InstanceSymmetries is the sbp phase Solve runs when cfg.InstanceDependent
+// is set: it detects the symmetries of enc's formula, merges the verified
+// lifts of cfg.GraphGens, appends their lex-leader predicates to enc.F and
+// returns the statistics. Of cfg it reads SymMaxNodes, SymTimeout and
+// GraphGens.
 func InstanceSymmetries(ctx context.Context, enc *encode.Encoding, cfg Config) *SymmetryStats {
 	aOpts := autom.Options{MaxNodes: cfg.SymMaxNodes, Context: ctx}
 	if cfg.SymTimeout > 0 {

@@ -19,18 +19,15 @@ import (
 // in-flight singleflight table and the durable Backend, so its format is
 // part of the on-disk store contract (see docs/API.md).
 //
-// The leading version token tracks the canonical encoding format: v2
-// switched the adjacency bitmap to column-major bit order (the layout the
-// orbit-pruned search's prefix comparison requires). Bumping the version
-// quarantines records written under the old bit order — a v1 disk entry
-// simply never matches a v2 key, which is sound (a miss re-solves) and
-// lets store GC age the stale records out. A layout change needs the new
-// token because the same bytes read under two layouts describe two
-// different graphs. A change of canonical labeling (the refinement's
-// split order, say) needs none: the bytes still decode to one graph, so
-// equal bytes still imply isomorphic graphs, and a record's coloring lives
-// in the vertex space of its own bytes. A graph whose bytes changed
-// misses once and re-solves; its old record ages out.
+// The leading version token tracks the canonical encoding's byte layout:
+// v2 switched the adjacency bitmap to column-major bit order (the layout
+// the orbit-pruned search's prefix comparison requires). The same bytes
+// read under two layouts are two graphs, so a v1 disk entry must never
+// match a v2 key; it simply misses, re-solves and ages out through store
+// GC. A change of canonical labeling (a new refinement split order, say)
+// keeps the token: equal bytes still decode to one graph, and a record's
+// coloring lives in the vertex space of its own bytes, so a graph whose
+// bytes changed misses once and re-solves.
 func cacheKey(spec JobSpec, canon *autom.Canonical) string {
 	return fmt.Sprintf("v2 k=%d sbp=%d eng=%d pf=%t id=%t %x",
 		spec.K, spec.SBP, spec.Engine, spec.Portfolio, spec.InstanceDependent,

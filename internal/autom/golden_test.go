@@ -141,7 +141,7 @@ func TestFindAutomorphismsGroupOrder(t *testing.T) {
 	for _, r := range symmetryGraphs(t, goldenNames...) {
 		res := autom.FindAutomorphisms(r.g, autom.Options{})
 		if got, want := res.Order.String(), groupOrders[r.name]; got != want || !res.Exact {
-			t.Errorf("%s: order %s (exact %t), want %s (exact)\n\t%q: %q,", r.name, got, res.Exact, want, r.name, got)
+			t.Errorf("%s: order %s (exact %t), want %s (exact)", r.name, got, res.Exact, want)
 		}
 	}
 }

@@ -35,39 +35,41 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './e2ebench/*' \
 		-not -path './.bench_build/*' -not -path './.git/*' -print0 | xargs -0 cat | wc -l
 
-# loadtest is the admission-control smoke: loadgen drives an in-process
-# gcolord handler through an overload scenario (must shed load with
-# enveloped 429s and Retry-After) and a light scenario (must accept
-# everything). Exits nonzero if either contract breaks.
+# loadtest is the admission-control smoke: 16 concurrent clients against
+# an in-process daemon whose workers are parked must get exactly 6 of 120
+# submissions accepted and every other answered 429 queue_full with the
+# error envelope and Retry-After; a daemon with room must accept all.
 loadtest:
-	$(GO) run ./cmd/loadgen -selftest
+	$(GO) test -count=1 -run '^TestConcurrentAdmission$$' ./internal/httpapi/
 
-# tracecheck is the observability audit: loadgen drives real solves
-# through an in-process daemon and requires every completed job to expose
-# a well-formed span tree (single root, unique ids, children nested in
-# parents) whose phases account for the job's wall time — including
-# per-worker spans on a parallel solve, the phase histograms on /metrics,
-# the flight-recorder listing, and the 404 envelope for unknown jobs.
+# tracecheck is the observability audit: real solves through an
+# in-process daemon must expose well-formed span trees (single root,
+# unique ids, children nested in parents, phases that account for the
+# job's wall time), a cache hit's included; plus the flight-recorder
+# listing, the 404 envelope for unknown jobs, the phase histograms on
+# /metrics, and, in the service, per-worker spans under a parallel solve
+# and traces kept apart across concurrent jobs.
 tracecheck:
-	$(GO) run ./cmd/loadgen -tracecheck
+	$(GO) test -count=1 -run '^(TestTrace.*|TestWireGolden|TestParallelSolveTraceShape|TestConcurrentJobsTraceIsolation)$$' ./internal/httpapi/ ./internal/service/
 
-# chaostest drives the self-contained chaos drill: an in-process daemon
-# with injected store write faults (including torn writes) and periodic
-# solver panics must keep the API contract, isolate every panic to its
-# own job, and still be serving after the disk "heals".
+# chaostest is the chaos drill: an in-process daemon whose result cache
+# and job journal each fail every 7th disk write (torn) and whose solver
+# panics every 5th call must keep the API contract, isolate every panic
+# to its own job, and reattach both components once the disk heals.
 chaostest:
-	$(GO) run ./cmd/loadgen -chaos
+	$(GO) test -race -count=1 -run '^TestChaosOverHTTP$$' ./internal/httpapi/
 
 # crashtest is the fault-tolerance acceptance gate: the SIGKILL-and-replay
 # drill against a real gcolord binary (journal replay under original ids,
 # no duplicate solver runs for isomorphic entries, graceful drain), plus
 # the service-level fault suites (panic isolation, degraded journal and
-# cache backend, Wait/Close races, CancelAll on queued jobs) and the
-# fault-injection harness's own tests — all under the race detector.
+# cache backend, Wait/Close races, CancelAll on queued jobs), the
+# fault-injection harness's own tests and the chaos drill — all under the
+# race detector.
 crashtest:
 	$(GO) test -race -count=1 -run 'TestCrashRecoveryReplaysJournal|TestDrainRejectsSubmissions' ./cmd/gcolord/
 	$(GO) test -race -count=1 -run 'Panic|Journal|Resilient|CancelAll|CloseRace|Fault|Inject|Delete|WALUpgrade' ./internal/service/ ./internal/faultinject/ ./internal/store/
-	$(GO) run ./cmd/loadgen -chaos
+	$(GO) test -race -count=1 -run '^TestChaosOverHTTP$$' ./internal/httpapi/
 
 # linkcheck verifies every intra-repo Markdown link and heading anchor
 # resolves (external URLs are not fetched; the job stays hermetic).

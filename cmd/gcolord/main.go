@@ -50,10 +50,9 @@
 // envelope {"error": {"code", "message", "retry_after_ms"}}, and rejected
 // submissions answer 429 with a Retry-After hint instead of blocking.
 //
-// The -chaos.* flags inject deterministic faults (slow solves, periodic
-// solver panics) for crash drills and the crashtest suite; they have no
-// place in production service but are safe there too — an injected panic
-// fails only its own job.
+// The -chaos.solvedelay flag holds every solve for a fixed time, so crash
+// drills and the crashtest suite can catch the daemon with jobs in
+// flight; it has no place in production service.
 package main
 
 import (
@@ -101,7 +100,6 @@ func main() {
 	maxEdges := flag.Int("max.edges", 0, "reject graphs with more edges (413 graph_too_large; 0 = 10000000)")
 	logJSON := flag.Bool("log.json", false, "emit structured logs as JSON instead of text")
 	chaosDelay := flag.Duration("chaos.solvedelay", 0, "fault injection: hold every solve this long before running it")
-	chaosPanicEvery := flag.Int64("chaos.panicevery", 0, "fault injection: panic every Nth solver call (isolated per job; 0 = off)")
 	flag.Parse()
 
 	var h slog.Handler = slog.NewTextHandler(os.Stderr, nil)
@@ -144,14 +142,6 @@ func main() {
 	var solve service.SolveFunc
 	if *chaosDelay > 0 {
 		solve = faultinject.Delay(service.DefaultSolve, *chaosDelay)
-	}
-	if *chaosPanicEvery > 0 {
-		base := solve
-		if base == nil {
-			base = service.DefaultSolve
-		}
-		solve, _ = faultinject.Panics(base, *chaosPanicEvery)
-		logger.Warn("chaos mode: injecting solver panics", "every", *chaosPanicEvery)
 	}
 
 	svc := service.New(service.Config{

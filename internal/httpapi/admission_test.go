@@ -234,6 +234,97 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdmission: concurrent submitters get only 202s and error
+// envelopes. Against a full queue the split is exact: with both workers
+// parked, Workers 2 plus QueueDepth 4 admit 6 of 120 submissions and
+// refuse every other with 429 queue_full; a service with room refuses
+// none.
+func TestConcurrentAdmission(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	var runs atomic.Int64
+	srv, _ := startStub(t,
+		service.Config{Workers: 2, QueueDepth: 4, Solve: blockingSolve(gate, &runs)},
+		Config{})
+	paths := func(from, n int) []string {
+		bodies := make([]string, n)
+		for i := range bodies {
+			bodies[i] = pathJobJSON("c", from+i, "")
+		}
+		return bodies
+	}
+	if ids, refused := submitAll(t, srv, 1, paths(3, 2)); len(ids) != 2 {
+		t.Fatalf("parking the workers: refusals %v", refused)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runs.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never started")
+		}
+	}
+	ids, refused := submitAll(t, srv, 16, paths(5, 118))
+	if len(ids) != 4 || refused[CodeQueueFull] != 114 || len(refused) != 1 {
+		t.Fatalf("overload: %d of 118 accepted, refusals %v; want 4 and 114 %s", len(ids), refused, CodeQueueFull)
+	}
+
+	srv, _ = startStub(t,
+		service.Config{Workers: 8, QueueDepth: 1024, Solve: blockingSolve(gate, &runs)},
+		Config{})
+	if ids, refused := submitAll(t, srv, 16, paths(3, 30)); len(ids) != 30 {
+		t.Fatalf("light load: %d of 30 accepted, refusals %v", len(ids), refused)
+	}
+}
+
+// submitAll posts bodies to /v1/jobs from concurrent clients, spread over
+// three tenants. It returns the ids the 202s carry and counts the other
+// answers by error code; each must be an error envelope, and a 429 must
+// carry Retry-After.
+func submitAll(t *testing.T, srv *httptest.Server, clients int, bodies []string) (ids []string, refused map[string]int) {
+	t.Helper()
+	resps := make([]*http.Response, len(bodies))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(bodies); i = int(next.Add(1)) - 1 {
+				req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs", strings.NewReader(bodies[i]))
+				if err == nil {
+					req.Header.Set("X-Tenant", fmt.Sprintf("tenant-%d", i%3))
+					resps[i], err = http.DefaultClient.Do(req)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	refused = map[string]int{}
+	for _, resp := range resps {
+		switch {
+		case resp == nil: // a transport error, reported above
+		case resp.StatusCode == http.StatusAccepted:
+			var out map[string]string
+			err := json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil || out["id"] == "" {
+				t.Fatalf("202 without a job id: %v", err)
+			}
+			ids = append(ids, out["id"])
+		default:
+			if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+				t.Error("429 lacks a Retry-After header")
+			}
+			refused[decodeEnvelope(t, resp).Code]++
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return ids, refused
+}
+
 // TestTenantQuotaOverHTTP: one tenant exhausting its in-flight quota gets
 // 429 tenant_over_quota while another tenant keeps submitting freely.
 func TestTenantQuotaOverHTTP(t *testing.T) {

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,12 +34,14 @@ func fetchTraceView(t *testing.T, srv *httptest.Server, id string) obs.TraceView
 
 // TestTraceEndpointShape: a completed job's trace is a single-root span
 // tree whose root is the job, whose children are the lifecycle phases in
-// order, and whose trace id is the X-Request-ID the submission carried.
+// order, and whose trace id is the X-Request-ID the submission carried. A
+// relabelled duplicate submitted after the job finished is answered from
+// the cache, and its trace is as well formed, with no solve phase.
 func TestTraceEndpointShape(t *testing.T) {
 	srv, _ := startDaemon(t, "")
 
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs",
-		strings.NewReader(`{"bench":"myciel3","k":6}`))
+		strings.NewReader(`{"bench":"myciel3","k":5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +64,7 @@ func TestTraceEndpointShape(t *testing.T) {
 	if tv.TraceID != "trace-test-42" {
 		t.Fatalf("trace id %q, want the submitted X-Request-ID", tv.TraceID)
 	}
-	if tv.JobID != id {
-		t.Fatalf("trace names job %q, want %q", tv.JobID, id)
-	}
-	if len(tv.Spans) != 1 || tv.Spans[0].Name != "job" {
-		t.Fatalf("want exactly one root span named job, got %+v", tv.Spans)
-	}
-	root := tv.Spans[0]
-	for _, phase := range []string{"admission", "queue", "canon", "solve", "persist"} {
-		if tv.Find(phase) == nil {
-			t.Fatalf("trace missing %q span:\n%+v", phase, root)
-		}
-	}
+	checkSpanTree(t, tv, id, "admission", "queue", "canon", "solve", "persist")
 	// encode and sbp run inside the solver, so they must hang off the
 	// solve span, not the root.
 	solve := tv.Find("solve")
@@ -85,10 +77,42 @@ func TestTraceEndpointShape(t *testing.T) {
 	if !foundEncode {
 		t.Fatalf("encode span is not a child of solve: %+v", solve)
 	}
-	// Every child interval nests inside its parent (1ms slack for view
-	// rounding), and the root accounts for the whole trace.
+
+	dup := submitJob(t, srv, relabelledMyciel3(t))
+	waitDone(t, srv, dup)
+	hit := fetchTraceView(t, srv, dup)
+	checkSpanTree(t, hit, dup, "admission", "queue", "canon")
+	if s := hit.Find("solve"); s != nil {
+		t.Fatalf("the duplicate was solved again: %+v", s)
+	}
+}
+
+// checkSpanTree checks what every completed trace satisfies: it names the
+// job and a trace id; it has one root, named job, holding the given
+// phases; its span ids are unique; every child interval nests inside its
+// parent (1 ms slack for view rounding); and the root's children account
+// for the root's duration within max(50 ms, 25%).
+func checkSpanTree(t *testing.T, tv obs.TraceView, id string, phases ...string) {
+	t.Helper()
+	if tv.JobID != id || tv.TraceID == "" {
+		t.Fatalf("trace names job %q with trace id %q, want job %q and an id", tv.JobID, tv.TraceID, id)
+	}
+	if len(tv.Spans) != 1 || tv.Spans[0].Name != "job" {
+		t.Fatalf("want exactly one root span named job, got %+v", tv.Spans)
+	}
+	root := tv.Spans[0]
+	for _, phase := range phases {
+		if tv.Find(phase) == nil {
+			t.Fatalf("trace missing %q span:\n%+v", phase, root)
+		}
+	}
+	seen := map[uint64]bool{root.ID: true}
 	var checkNesting func(parent, s *obs.SpanView)
 	checkNesting = func(parent, s *obs.SpanView) {
+		if seen[s.ID] {
+			t.Fatalf("span %s reuses id %d", s.Name, s.ID)
+		}
+		seen[s.ID] = true
 		if s.StartOffsetMS < parent.StartOffsetMS-1 ||
 			s.StartOffsetMS+s.DurationMS > parent.StartOffsetMS+parent.DurationMS+1 {
 			t.Fatalf("span %s [%.2f,%.2f] escapes parent %s [%.2f,%.2f]",
@@ -99,8 +123,13 @@ func TestTraceEndpointShape(t *testing.T) {
 			checkNesting(s, c)
 		}
 	}
+	var sum float64
 	for _, c := range root.Children {
 		checkNesting(root, c)
+		sum += c.DurationMS
+	}
+	if slack := math.Max(50, 0.25*root.DurationMS); math.Abs(root.DurationMS-sum) > slack {
+		t.Fatalf("root's children sum to %.2f ms, but the job ran %.2f ms (slack %.0f ms)", sum, root.DurationMS, slack)
 	}
 }
 

@@ -168,12 +168,21 @@ func relabelledMyciel3(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.N()
+	perm := make([]int, g.N())
+	for v := range perm {
+		perm[v] = (5*v + 2) % g.N()
+	}
+	return edgeListJSON(g, perm, `,"k":5`)
+}
+
+// edgeListJSON is the submission body for g with vertex v renamed
+// perm[v], followed by the extra fields.
+func edgeListJSON(g *graph.Graph, perm []int, extra string) string {
 	var edges []string
 	for _, e := range g.Edges() {
-		edges = append(edges, fmt.Sprintf("[%d,%d]", (5*e[0]+2)%n, (5*e[1]+2)%n))
+		edges = append(edges, fmt.Sprintf("[%d,%d]", perm[e[0]], perm[e[1]]))
 	}
-	return fmt.Sprintf(`{"n":%d,"edges":[%s],"k":5}`, n, strings.Join(edges, ","))
+	return fmt.Sprintf(`{"n":%d,"edges":[%s]%s}`, g.N(), strings.Join(edges, ","), extra)
 }
 
 func wireSubmit(t *testing.T, srv *httptest.Server, body string, header map[string]string) string {

@@ -976,8 +976,7 @@ func (s *Service) run(j *job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.mu.Unlock()
-	s.running.Add(1)
-	defer s.running.Add(-1)
+	s.running.Add(1) // finish takes it off again, before waking waiters
 	defer j.cancel() // release the job context's resources
 
 	ctx := j.ctx
@@ -1317,7 +1316,8 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	state := j.state
 	queueWait := j.queueWait
 	var solveTime time.Duration
-	if !j.started.IsZero() {
+	ran := !j.started.IsZero()
+	if ran {
 		solveTime = time.Since(j.started)
 	}
 	j.finished = time.Now()
@@ -1326,10 +1326,14 @@ func (s *Service) finish(j *job, res *Result, err error) {
 	j.ctx, j.cancel = nil, nil
 	j.mu.Unlock()
 
-	// Release the tenant's in-flight slot and bound the job history before
-	// waking waiters: a client that resubmits the moment Wait returns must
-	// find its slot free (forget the oldest finished jobs beyond MaxJobs;
-	// queued/running jobs are never pruned).
+	// Release the tenant's in-flight slot and the running gauge, and bound
+	// the job history, before waking waiters: a client that resubmits or
+	// reads /v1/stats the moment Wait returns must find its slot free and
+	// the job no longer running (forget the oldest finished jobs beyond
+	// MaxJobs; queued/running jobs are never pruned).
+	if ran {
+		s.running.Add(-1)
+	}
 	s.mu.Lock()
 	if ts, ok := s.tenants[j.tenant]; ok {
 		ts.inFlight--

@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pbsolver"
 	"repro/internal/solverutil"
+	"repro/internal/store"
 )
 
 // relabel returns g with vertices renamed by perm (vertex v becomes
@@ -407,6 +408,46 @@ func TestJobHistoryBounded(t *testing.T) {
 	if n := len(svc.Jobs()); n > 2 {
 		t.Fatalf("%d jobs retained, want <= 2", n)
 	}
+}
+
+// TestRunningZeroAfterWait: a job leaves the running gauge before its
+// waiters wake, so a client that reads the stats the moment Wait returns
+// on an idle service sees nothing running. The journal holds the worker
+// in finish, after the wake, until the gauge has been read.
+func TestRunningZeroAfterWait(t *testing.T) {
+	disk, err := OpenDiskJournal(t.TempDir(), store.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := handOffJournal{Journal: disk, release: make(chan struct{})}
+	var runs atomic.Int64
+	svc := New(Config{Workers: 1, Journal: journal, Solve: countingSolve(&runs, 0)})
+	defer svc.Close()
+	defer close(journal.release) // lets the worker go on after a failure
+	for i := 0; i < 200; i++ {
+		id, err := svc.Submit(graph.Random("g", 10, 20, int64(i)), JobSpec{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		if n := svc.Metrics().Snapshot().Int("running"); n != 0 {
+			t.Fatalf("job %d: running = %d right after Wait, want 0", i, n)
+		}
+		journal.release <- struct{}{}
+	}
+}
+
+// handOffJournal is a Journal whose Done waits for a receive on release.
+type handOffJournal struct {
+	Journal
+	release chan struct{}
+}
+
+func (j handOffJournal) Done(id string) error {
+	<-j.release
+	return j.Journal.Done(id)
 }
 
 // TestFinishedJobDropsGraph: a finished job keeps its instance name for
